@@ -24,9 +24,17 @@ nothing to support) are handled exactly.
 
 Implementation note: the sweep runs millions of tiny operations, so the
 mutable state lives in plain Python lists/tuples — numpy scalar indexing in
-this hot loop makes MBA slower than DBA, inverting the paper's Fig. 14.
+this hot loop makes MBA slower than DBA, inverting the paper's Fig. 14. The
+state also caches every triangle's level, ``lvl[tid] = L(∆)``, so the BFS,
+the ks recount and invalidation compare one list entry instead of taking
+``min(trn[e1], trn[e2], trn[e3])``. The cache changes only when an edge
+drops from k to k−1, and then exactly for the valid level-k triangles on the
+dropped edges: the BFS visits all of them, and moving each to k−1 as it is
+visited also marks it as seen.
 """
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -34,77 +42,60 @@ from .decomposition import trussness
 from .kspan import KspanTable
 from .model import TemporalGraph
 
+OnDrop = Callable[[int, int], None]
+
 
 class _MbaState:
-    """Mutable state of the δ-sweep: trussness, ks counters, validity."""
+    """Mutable state of the δ-sweep: trussness, ks counters, levels, validity."""
 
     def __init__(self, g: TemporalGraph):
         tri = g.triangles()
         all_ok = np.ones(tri.n, dtype=bool)
         trn_arr = trussness(g.m, tri.tri_e, all_ok, tri.edge_tris)
+        lvl_arr = trn_arr[tri.tri_e].min(axis=1)
+        at_lvl = trn_arr[tri.tri_e] == lvl_arr[:, None]
         self.m = g.m
-        self.trn: list[int] = [int(x) for x in trn_arr]
-        self.tri_edges: list[tuple[int, int, int]] = [
-            (int(a), int(b), int(c)) for a, b, c in tri.tri_e
-        ]
+        self.trn: list[int] = trn_arr.tolist()
+        self.lvl: list[int] = lvl_arr.tolist()
+        self.ks: list[int] = np.bincount(tri.tri_e[at_lvl], minlength=g.m).tolist()
+        self.tri_edges: list[tuple[int, int, int]] = list(zip(*tri.tri_e.T.tolist()))
         self.edge_tris: list[list[int]] = tri.edge_tris
         self.tri_valid: list[bool] = [True] * tri.n
-        ks = [0] * g.m
-        trn = self.trn
-        for e1, e2, e3 in self.tri_edges:
-            t1, t2, t3 = trn[e1], trn[e2], trn[e3]
-            lvl = t1 if t1 <= t2 and t1 <= t3 else (t2 if t2 <= t3 else t3)
-            if t1 == lvl:
-                ks[e1] += 1
-            if t2 == lvl:
-                ks[e2] += 1
-            if t3 == lvl:
-                ks[e3] += 1
-        self.ks = ks
-
-    def level(self, tid: int) -> int:
-        e1, e2, e3 = self.tri_edges[tid]
-        trn = self.trn
-        return min(trn[e1], trn[e2], trn[e3])
 
     def recount(self, e: int) -> int:
         """Recompute ks(e) from scratch at e's current level."""
         k = self.trn[e]
-        trn, tri_edges, tri_valid = self.trn, self.tri_edges, self.tri_valid
+        lvl, tri_valid = self.lvl, self.tri_valid
         cnt = 0
         for tid in self.edge_tris[e]:
-            if tri_valid[tid]:
-                e1, e2, e3 = tri_edges[tid]
-                if min(trn[e1], trn[e2], trn[e3]) == k:
-                    cnt += 1
+            if lvl[tid] == k and tri_valid[tid]:
+                cnt += 1
         return cnt
 
-    def settle(self, pending: list[int], on_drop) -> None:
+    def settle(self, pending: list[int], on_drop: OnDrop) -> None:
         """Drain edges whose ks may violate ks ≥ trn−2; drop levels until stable.
 
         ``on_drop(e, k_old)`` is called for every unit decrease k_old → k_old−1.
         """
-        trn, ks = self.trn, self.ks
+        trn, ks, lvl = self.trn, self.ks, self.lvl
         tri_edges, tri_valid, edge_tris = self.tri_edges, self.tri_valid, self.edge_tris
         while pending:
             e0 = pending.pop()
             k = trn[e0]
             if ks[e0] >= k - 2 or k <= 2:
                 continue
-            # BFS the full drop set at level k reachable from e0 (Lemma 3 ii)
+            # BFS the full drop set at level k reachable from e0 (Lemma 3 ii).
+            # A visited triangle holds a dropped edge, so its level becomes
+            # k−1; setting that now also keeps it from being visited twice.
             drop = {e0}
             stack = [e0]
-            seen_tri: set[int] = set()
             while stack:
                 e = stack.pop()
                 for tid in edge_tris[e]:
-                    if not tri_valid[tid] or tid in seen_tri:
+                    if lvl[tid] != k or not tri_valid[tid]:
                         continue
-                    e1, e2, e3 = tri_edges[tid]
-                    if min(trn[e1], trn[e2], trn[e3]) != k:
-                        continue
-                    seen_tri.add(tid)
-                    for e2_ in (e1, e2, e3):
+                    lvl[tid] = k - 1
+                    for e2_ in tri_edges[tid]:
                         if e2_ == e or e2_ in drop:
                             continue
                         if trn[e2_] == k:
@@ -120,22 +111,41 @@ class _MbaState:
                 if ks[e] < trn[e] - 2 and trn[e] > 2:
                     pending.append(e)  # Lemma 1 says unreachable; exact anyway
 
-    def invalidate(self, tid: int, on_drop) -> None:
+    def invalidate(self, tid: int, on_drop: OnDrop) -> None:
         """Invalidate one triangle and maintain all trussness values."""
         if not self.tri_valid[tid]:
             return
         self.tri_valid[tid] = False
         trn, ks = self.trn, self.ks
-        e1, e2, e3 = self.tri_edges[tid]
-        k = min(trn[e1], trn[e2], trn[e3])
+        k = self.lvl[tid]
         pending: list[int] = []
-        for e in (e1, e2, e3):
+        for e in self.tri_edges[tid]:
             if trn[e] == k:
                 ks[e] -= 1
                 if ks[e] < k - 2:
                     pending.append(e)
         if pending:
             self.settle(pending, on_drop)
+
+
+def _sweep(state: _MbaState, mts: np.ndarray, on_group: Callable[[int], OnDrop]) -> None:
+    """Invalidate every triangle with mts > 0, in groups of descending mts.
+
+    ``on_group(d)`` runs before the group with mts = d is invalidated, when
+    the maintained trussness is the δ-trussness for every δ from d up to
+    the previous group's mts; it returns the ``on_drop`` callback for the
+    group. Triangles with mts = 0 stay valid in every (k, δ)-truss.
+    """
+    order = np.argsort(-mts, kind="stable")
+    mts_sorted = mts[order].tolist()
+    tids_sorted = order.tolist()
+    i, n = 0, len(tids_sorted)
+    while i < n and mts_sorted[i] > 0:
+        d = mts_sorted[i]
+        on_drop = on_group(d)
+        while i < n and mts_sorted[i] == d:
+            state.invalidate(tids_sorted[i], on_drop)
+            i += 1
 
 
 def mba(g: TemporalGraph) -> KspanTable:
@@ -149,23 +159,14 @@ def mba(g: TemporalGraph) -> KspanTable:
         k: np.full(g.m, -1, dtype=np.int64) for k in range(3, kmax + 1)
     }
 
-    order = np.argsort(-tri.mts, kind="stable")
-    mts_sorted = [int(tri.mts[t]) for t in order]
-    tids_sorted = [int(t) for t in order]
-    i = 0
-    n = len(tids_sorted)
-    while i < n:
-        d = mts_sorted[i]
-        if d == 0:
-            break  # mts = 0 triangles remain valid in every (k, δ)-truss
-
-        def on_drop(e: int, k_old: int, d: int = d) -> None:
+    def on_group(d: int) -> OnDrop:
+        def on_drop(e: int, k_old: int) -> None:
             if k_old >= 3:
                 spans[k_old][e] = d
 
-        while i < n and mts_sorted[i] == d:
-            state.invalidate(tids_sorted[i], on_drop)
-            i += 1
+        return on_drop
+
+    _sweep(state, tri.mts, on_group)
 
     # Edges still at trussness t after the sweep have k-span 0 for all k ≤ t.
     for k in range(3, kmax + 1):
@@ -183,15 +184,16 @@ def mba_with_delta_trace(
     Returns {δ: trn_δ} where trn_δ counts only triangles with mts ≤ δ —
     cross-checked against a fresh decomposition at each probe.
     """
-    tri = g.triangles()
     state = _MbaState(g)
-    probes = sorted(set(probe_deltas), reverse=True)
+    probes = sorted(set(probe_deltas))  # ascending: pop the largest first
     out: dict[int, np.ndarray] = {}
-    order = np.argsort(-tri.mts, kind="stable")
-    j = 0
+
+    def on_group(d: int) -> OnDrop:
+        while probes and probes[-1] >= d:
+            out[probes.pop()] = np.asarray(state.trn, dtype=np.int64)
+        return lambda e, k: None
+
+    _sweep(state, g.triangles().mts, on_group)
     for d in probes:
-        while j < len(order) and int(tri.mts[order[j]]) > d:
-            state.invalidate(int(order[j]), lambda e, k: None)
-            j += 1
         out[d] = np.asarray(state.trn, dtype=np.int64)
     return out

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
-from ..triangles.mts import mts3
+from ..triangles.mts import mts3, mts_batch
 
 
 @dataclass
@@ -36,6 +36,17 @@ class TriangleStore:
     tri_e: np.ndarray  # (T, 3) int64
     mts: np.ndarray  # (T,) int64
     edge_tris: list[list[int]] = field(default_factory=list)
+
+    @classmethod
+    def build(cls, tri_e: np.ndarray, mts: np.ndarray, m: int) -> "TriangleStore":
+        """Store over ``m`` edges; ``edge_tris`` comes from one stable argsort
+        of ``tri_e``, so each edge's triangle ids are ascending."""
+        flat = tri_e.ravel()
+        tid_objs = list(range(len(mts)))  # the three lists of a triangle share its id
+        tids = list(map(tid_objs.__getitem__, np.argsort(flat, kind="stable") // 3))
+        ends = np.cumsum(np.bincount(flat, minlength=m)).tolist()
+        edge_tris = [tids[a:b] for a, b in zip([0] + ends[:-1], ends)]
+        return cls(tri_e, mts, edge_tris)
 
     @property
     def n(self) -> int:
@@ -70,12 +81,10 @@ class TemporalGraph:
     @classmethod
     def from_flat(cls, flat: pd.DataFrame) -> "TemporalGraph":
         """Build from a flat (u, v, t) frame (normalized on the way in)."""
-        from ..tgraph.schema import flat_pdf_to_packed_pdf
+        from ..tgraph.schema import pack_flat_pdf
 
-        packed = flat_pdf_to_packed_pdf(flat)
-        edges = list(zip(packed["src"].astype(int), packed["dst"].astype(int)))
-        times = [np.asarray(ts, dtype=np.int64) for ts in packed["ts"]]
-        return cls(edges, times)
+        src, dst, times = pack_flat_pdf(flat)
+        return cls(list(zip(src.tolist(), dst.tolist())), times)
 
     def copy(self) -> "TemporalGraph":
         g = TemporalGraph(list(self.edges), [t.copy() for t in self.times])
@@ -113,29 +122,22 @@ class TemporalGraph:
         """
         if self._tri is not None:
             return self._tri
-        tri_rows: list[tuple[int, int, int]] = []
-        mts_rows: list[int] = []
+        e_uv_rows: list[int] = []
+        e_vw_rows: list[int] = []
+        e_uw_rows: list[int] = []
         for e_uv, (u, v) in enumerate(self.edges):
             nu, nv = self.nbr[u], self.nbr[v]
             small, large = (nu, nv) if len(nu) <= len(nv) else (nv, nu)
             for w in small:
                 if w > v and w in large:
-                    e_uw = self.nbr[u][w]
-                    e_vw = self.nbr[v][w]
-                    m = mts3(self.times[e_uv], self.times[e_vw], self.times[e_uw])
-                    tri_rows.append((e_uv, e_vw, e_uw))
-                    mts_rows.append(m)
-        tri_e = (
-            np.asarray(tri_rows, dtype=np.int64)
-            if tri_rows
-            else np.zeros((0, 3), dtype=np.int64)
+                    e_uv_rows.append(e_uv)
+                    e_vw_rows.append(nv[w])
+                    e_uw_rows.append(nu[w])
+        tri_e = np.stack(
+            [np.asarray(r, dtype=np.int64) for r in (e_uv_rows, e_vw_rows, e_uw_rows)],
+            axis=1,
         )
-        mts = np.asarray(mts_rows, dtype=np.int64)
-        edge_tris: list[list[int]] = [[] for _ in range(self.m)]
-        for tid in range(len(mts)):
-            for e in tri_e[tid]:
-                edge_tris[int(e)].append(tid)
-        self._tri = TriangleStore(tri_e, mts, edge_tris)
+        self._tri = TriangleStore.build(tri_e, mts_batch(self.times, tri_e), self.m)
         return self._tri
 
     @property

@@ -89,7 +89,7 @@ def temporal_graph_from_spark(packed: DataFrame) -> TemporalGraph:
     """Driver model whose triangle store was computed *by Spark*.
 
     Collects the packed edges and the Spark-enumerated triangle relation,
-    then wires the TriangleStore directly (no local re-enumeration).
+    then builds the TriangleStore from them (no local re-enumeration).
     """
     edges_pdf = packed.orderBy("src", "dst").toPandas()
     tri_pdf = enumerate_triangles(packed).toPandas()
@@ -107,11 +107,7 @@ def temporal_graph_from_spark(packed: DataFrame) -> TemporalGraph:
     else:
         tri_e = np.zeros((0, 3), dtype=np.int64)
         mts = np.zeros(0, dtype=np.int64)
-    edge_tris: list[list[int]] = [[] for _ in range(g.m)]
-    for tid in range(len(mts)):
-        for e in tri_e[tid]:
-            edge_tris[int(e)].append(tid)
-    g._tri = TriangleStore(tri_e, mts, edge_tris)
+    g._tri = TriangleStore.build(tri_e, mts, g.m)
     return g
 
 

@@ -38,6 +38,7 @@ def _build_map(spans_k: np.ndarray) -> _MapStructure:
     # descending k-span; stable on edge id
     order = np.argsort(-spans_k[ids], kind="stable")
     ids = ids[order]
+    ids.setflags(write=False)  # query results are views of E_k
     spans = spans_k[ids]
     uniq: list[int] = []
     offsets: dict[int, int] = {}

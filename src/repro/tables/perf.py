@@ -150,7 +150,6 @@ def maintenance_times(
     tc_s = stream(TCMaintainer)
     dc_s = stream(DCMaintainer)
     # rebuild baseline: full MBA (incl. triangle enumeration) per insertion
-    g = TemporalGraph.from_flat(flat)
     t0 = time.perf_counter()
     for _ in range(rebuilds):
         fresh = TemporalGraph.from_flat(flat)

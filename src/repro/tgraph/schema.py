@@ -14,6 +14,7 @@ integers (the paper uses consecutive naturals 0..n).
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -71,12 +72,32 @@ def packed_to_pandas(packed: DataFrame) -> pd.DataFrame:
     return packed.orderBy("src", "dst").toPandas()
 
 
+def pack_flat_pdf(pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Driver-local flat → packed conversion, on arrays (mirrors :func:`pack_flat`).
+
+    Returns ``(src, dst, ts)``: the oriented static edges in ``(src, dst)``
+    order and, per edge, its sorted distinct timestamps (views into one
+    int64 array).
+    """
+    u = pdf["u"].to_numpy(dtype=np.int64)
+    v = pdf["v"].to_numpy(dtype=np.int64)
+    t = pdf["t"].to_numpy(dtype=np.int64)
+    keep = u != v
+    lo, hi, t = np.minimum(u, v)[keep], np.maximum(u, v)[keep], t[keep]
+    order = np.lexsort((t, hi, lo))
+    lo, hi, t = lo[order], hi[order], t[order]
+    # first row of each (src, dst) run, then of each (src, dst, t) run
+    new_edge = np.ones(len(t), dtype=bool)
+    new_edge[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    new_row = new_edge.copy()
+    new_row[1:] |= t[1:] != t[:-1]
+    lo, hi, t, new_edge = lo[new_row], hi[new_row], t[new_row], new_edge[new_row]
+    starts = np.flatnonzero(new_edge)
+    bounds = starts.tolist() + [len(t)]
+    return lo[starts], hi[starts], [t[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def flat_pdf_to_packed_pdf(pdf: pd.DataFrame) -> pd.DataFrame:
-    """Driver-local flat → packed conversion (mirrors :func:`pack_flat`)."""
-    flat = normalize_flat_pdf(pdf)
-    grouped = flat.groupby(["u", "v"], sort=True)["t"].agg(
-        lambda s: sorted(set(int(x) for x in s))
-    )
-    out = grouped.reset_index()
-    out.columns = ["src", "dst", "ts"]
-    return out
+    """Packed pandas frame ``(src, dst, ts)`` with ``ts`` as lists of ints."""
+    src, dst, ts = pack_flat_pdf(pdf)
+    return pd.DataFrame({"src": src, "dst": dst, "ts": [x.tolist() for x in ts]})

@@ -6,27 +6,29 @@ joins — the conftest disables broadcast):
 
 1. wedges: edges (a,b) ⋈ edges (a,c) on the shared endpoint a, with b < c;
 2. closure: ⋈ edges on (b,c);
-3. mts: an Arrow pandas UDF runs the three-pointer scan
-   (:func:`repro.triangles.mts.mts3`) over the three timestamp arrays.
+3. mts: an Arrow pandas UDF evaluates each batch with
+   :func:`repro.triangles.mts.mts_batch` (numpy for all-singleton triangles,
+   the three-pointer scan :func:`~repro.triangles.mts.mts3` for the rest).
 
 Each triangle a < b < c is emitted exactly once.
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.types import LongType
 
-from .mts import mts3
+from .mts import mts_batch
 
 
 @F.pandas_udf(LongType())
 def _mts_udf(ab: pd.Series, bc: pd.Series, ac: pd.Series) -> pd.Series:
     """Vectorized (per-batch) minimum time span over three array columns."""
-    return pd.Series(
-        [int(mts3(x, y, z)) for x, y, z in zip(ab, bc, ac)], dtype="int64"
-    )
+    n = len(ab)
+    tri = np.arange(3 * n).reshape(3, n).T
+    return pd.Series(mts_batch([*ab, *bc, *ac], tri), dtype="int64")
 
 
 def enumerate_triangles(packed: DataFrame) -> DataFrame:

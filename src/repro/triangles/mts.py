@@ -47,6 +47,25 @@ def mts3(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> int:
                 return int(best)
 
 
+def mts_batch(times: Sequence[np.ndarray], tri: np.ndarray) -> np.ndarray:
+    """Minimum time span of many triangles at once.
+
+    Row ``tri[i]`` holds three indices into ``times`` (sorted, non-empty
+    timestamp arrays). When all three lists are singletons the span is
+    ``max − min`` of their one timestamps, computed in numpy; the remaining
+    rows go through :func:`mts3`.
+    """
+    n = len(times)
+    lens = np.fromiter(map(len, times), dtype=np.int64, count=n)
+    first = np.fromiter((x[0] for x in times), dtype=np.int64, count=n)
+    vals = first[tri]
+    out = vals.max(axis=1) - vals.min(axis=1)
+    for i in np.flatnonzero((lens[tri] > 1).any(axis=1)).tolist():
+        a, b, c = tri[i].tolist()
+        out[i] = mts3(times[a], times[b], times[c])
+    return out
+
+
 def mts3_brute(a: Sequence[int], b: Sequence[int], c: Sequence[int]) -> int:
     """O(|a|·|b|·|c|) cross-product reference, for tests only."""
     aa, bb, cc = np.asarray(a), np.asarray(b), np.asarray(c)

@@ -28,6 +28,12 @@ def test_mba_equals_dba_on_analog():
     assert mba(g).equal(dba(g))
 
 
+def test_mba_equals_dba_on_dense_core():
+    """stackoverflow's kmax-24 core, where the level cascades are deepest."""
+    g = TemporalGraph.from_flat(analog("stackoverflow", sf=0.03, seed=7))
+    assert mba(g).equal(dba(g))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_maintained_trussness_equals_fresh_decomposition(seed):
     """Lemmas 1–3: after invalidating all triangles with mts > δ, the
@@ -60,7 +66,8 @@ def test_lemma1_single_invalidation_drops_at_most_one():
 
 
 def test_ks_invariant_maintained():
-    """ks(e) = #{valid ∆ ∋ e : L(∆) = trn(e)} holds throughout the sweep."""
+    """ks(e) = #{valid ∆ ∋ e : L(∆) = trn(e)} holds throughout the sweep, and
+    the cached lvl[∆] equals L(∆) for every valid triangle."""
     from repro.core.mba import _MbaState
 
     flat = random_temporal_graph(n_vertices=12, n_edges=45, n_timestamps=8, seed=3)
@@ -69,12 +76,18 @@ def test_ks_invariant_maintained():
     state = _MbaState(g)
     order = np.argsort(-tri.mts, kind="stable")
 
+    def level(tid):
+        return min(state.trn[e] for e in state.tri_edges[tid])
+
     def check():
+        for tid in range(tri.n):
+            if state.tri_valid[tid]:
+                assert state.lvl[tid] == level(tid), tid
         for e in range(g.m):
             cnt = sum(
                 1
                 for tid in tri.edge_tris[e]
-                if state.tri_valid[tid] and state.level(tid) == state.trn[e]
+                if state.tri_valid[tid] and level(tid) == state.trn[e]
             )
             assert cnt == state.ks[e], e
 

@@ -2,10 +2,14 @@
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.model import TemporalGraph
 from repro.tgraph.generators import random_temporal_graph, triangle_rich_graph
+from repro.tgraph.schema import normalize_flat_pdf
 from repro.triangles.brute import triangles_with_mts
+from repro.triangles.mts import mts3_brute
 
 
 def _model_triangles(g: TemporalGraph) -> set[tuple[int, int, int, int]]:
@@ -29,6 +33,62 @@ def test_triangles_on_clique_graph():
     flat = triangle_rich_graph(n_cliques=2, clique_size=5, seed=3)
     g = TemporalGraph.from_flat(flat)
     assert _model_triangles(g) == set(triangles_with_mts(flat))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 8)), max_size=40
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_from_flat_matches_reference_packing(rows, seed):
+    """Self-loops, repeated rows, reversed (u, v) and shuffled rows all pack
+    to the oriented edges with their sorted distinct timestamps."""
+    rows = rows + [(v, u, t) for u, v, t in rows[::2]] + rows[1::3]
+    rows = [rows[i] for i in np.random.default_rng(seed).permutation(len(rows))]
+    flat = pd.DataFrame(rows, columns=["u", "v", "t"], dtype=np.int64)
+    expected: dict[tuple[int, int], set[int]] = {}
+    for u, v, t in normalize_flat_pdf(flat).itertuples(index=False):
+        expected.setdefault((u, v), set()).add(t)
+    g = TemporalGraph.from_flat(flat)
+    assert g.edges == sorted(expected)
+    assert [ts.tolist() for ts in g.times] == [sorted(expected[e]) for e in g.edges]
+
+
+def test_from_flat_empty_frame():
+    g = TemporalGraph.from_flat(pd.DataFrame({"u": [], "v": [], "t": []}))
+    assert g.m == 0 and g.edges == [] and g.times == []
+    assert g.triangles().n == 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_triangle_mts_matches_brute_on_mixed_tau(seed):
+    """Singleton-τ triangles take the numpy path, the rest mts3: both agree
+    with the cross-product reference."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for u in range(12):
+        for v in range(u + 1, 12):
+            if rng.random() < 0.6:
+                n_ts = int(rng.choice([1, 1, 1, 2, 3]))
+                rows += [(u, v, int(t)) for t in rng.integers(0, 30, size=n_ts)]
+    g = TemporalGraph.from_flat(pd.DataFrame(rows, columns=["u", "v", "t"]))
+    tri = g.triangles()
+    single = np.array([len(ts) == 1 for ts in g.times])[tri.tri_e].all(axis=1)
+    assert single.any() and not single.all()
+    for tid in range(tri.n):
+        e1, e2, e3 = tri.tri_e[tid]
+        assert tri.mts[tid] == mts3_brute(g.times[e1], g.times[e2], g.times[e3]), tid
+
+
+def test_edge_tris_lists_ascending_tids():
+    g = TemporalGraph.from_flat(triangle_rich_graph(n_cliques=2, clique_size=6, seed=1))
+    tri = g.triangles()
+    assert len(tri.edge_tris) == g.m
+    for e, tids in enumerate(tri.edge_tris):
+        assert tids == sorted(tids)
+        assert tids == [t for t in range(tri.n) if e in tri.tri_e[t]]
 
 
 def test_basic_accessors():

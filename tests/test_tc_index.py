@@ -52,6 +52,19 @@ def test_query_is_suffix_scan():
             assert len(ids) == 0 or np.array_equal(ids, m.edge_ids[len(m.edge_ids) - len(ids):])
 
 
+def test_query_result_is_read_only():
+    """A query result is a view of E_k; writing to it must not reach the index."""
+    g = _graph(3)
+    idx = TCIndex(mba(g))
+    k = 3
+    ids = idx.query_ids(k, math.inf)
+    before = ids.copy()
+    assert len(ids) > 0
+    with pytest.raises(ValueError):
+        ids[0] = -1
+    assert np.array_equal(idx.query_ids(k, math.inf), before)
+
+
 def test_infinite_delta_returns_static_truss():
     g = _graph(5)
     idx = TCIndex(dba(g))
