@@ -8,7 +8,11 @@ These are the workhorses shared by the index-free Online-Query (§III), DBA
   (the fixpoint that defines a (k, δ)-truss);
 * :func:`trussness` — full decomposition: trn(e) = max k with e ∈ k-truss,
   counting only triangles marked valid (δ-trussness when the mask encodes
-  ``mts ≤ δ``; classic static trussness when all triangles are valid).
+  ``mts ≤ δ``; classic static trussness when all triangles are valid);
+* :func:`decomph` — the paper's δ-sweep: step δ down one mts value at a
+  time, peeling after each step, and record the δ at which each edge
+  leaves. DBA runs it on each static k-truss; maintenance runs it on the
+  affected subgraph (Algorithm 2).
 """
 from __future__ import annotations
 
@@ -104,8 +108,51 @@ def trussness(
     return trn
 
 
-def triangle_level(tri_e: np.ndarray, trn: np.ndarray) -> np.ndarray:
-    """L(∆) = min trussness among the triangle's edges (Definition 10)."""
-    if len(tri_e) == 0:
-        return np.zeros(0, dtype=np.int64)
-    return trn[tri_e].min(axis=1)
+def decomph(
+    *,
+    alive: np.ndarray,
+    sup: np.ndarray,
+    tri_e: np.ndarray,
+    mts: np.ndarray,
+    tri_alive: np.ndarray,
+    edge_tris: list[list[int]],
+    threshold: int,
+    stop: int,
+) -> np.ndarray:
+    """δ-sweep (``decomph``, §V-A) from the largest mts down to ``stop``.
+
+    Invalidates the alive triangles with mts > ``stop`` in groups of
+    descending mts and cascade-peels edges whose support drops below
+    ``threshold`` after each group; ``alive``, ``sup`` and ``tri_alive``
+    are updated in place. Returns a span per edge: d for an edge peeled
+    while the mts = d group is invalidated, ``stop`` for an edge that
+    survives, and −1 for an edge dead on entry.
+    """
+    span = np.where(alive, stop, -1).astype(np.int64)
+    tids = np.flatnonzero(tri_alive & (mts > stop))
+    order = tids[np.argsort(-mts[tids], kind="stable")].tolist()
+    mts_sorted = mts[order].tolist()
+    i = 0
+    while i < len(order):
+        d = mts_sorted[i]
+        seeds: list[int] = []
+        while i < len(order) and mts_sorted[i] == d:
+            tid = order[i]
+            i += 1
+            if tri_alive[tid]:
+                tri_alive[tid] = False
+                for e in tri_e[tid].tolist():
+                    if alive[e]:
+                        sup[e] -= 1
+                        seeds.append(e)
+        removed = peel_to_truss(
+            alive=alive,
+            sup=sup,
+            tri_e=tri_e,
+            tri_alive=tri_alive,
+            edge_tris=edge_tris,
+            threshold=threshold,
+            seeds=seeds,
+        )
+        span[removed] = d
+    return span

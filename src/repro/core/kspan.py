@@ -6,11 +6,10 @@ and DC-Index is the *k-span table*: for every edge e and every k ≤ trn(e),
 the value k-spn(e). ``T_{k,δ} = {e : trn(e) ≥ k and k-spn_k(e) ≤ δ}``.
 
 DBA computes the table one k at a time: start from the static k-truss
-(= T_{k,δmax}), then sweep δ downward, invalidating the triangles whose
-minimum time span is exactly the current δ and cascade-peeling edges whose
-δ-support falls below k−2 (function ``decomph`` in the paper). An edge
-peeled while invalidating mts = d triangles lies in T_{k,d} \\ T_{k,d−1},
-i.e. its k-span is d (the H-IES between those trusses).
+(= T_{k,δmax}), then run the δ-sweep :func:`~.decomposition.decomph` down
+to δ = 0. An edge peeled while invalidating mts = d triangles lies in
+T_{k,d} \\ T_{k,d−1}, i.e. its k-span is d (the H-IES between those
+trusses); an edge that survives the sweep has k-span 0.
 """
 from __future__ import annotations
 
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import peel_to_truss, support, trussness
+from .decomposition import decomph, support, trussness
 from .model import TemporalGraph
 
 
@@ -93,41 +92,15 @@ def dba(g: TemporalGraph) -> KspanTable:
         in_k = trn >= k
         # X∆_k: triangles of the static k-truss (all edges have trn ≥ k)
         tri_in = in_k[tri.tri_e].all(axis=1) if tri.n else np.zeros(0, bool)
-        alive = in_k.copy()
-        tri_alive = tri_in.copy()
-        sup = support(m, tri.tri_e, tri_alive)
-        span_k = np.full(m, -1, dtype=np.int64)
-
-        tids = np.flatnonzero(tri_in)
-        order = tids[np.argsort(-tri.mts[tids], kind="stable")]
-        i = 0
-        while i < len(order):
-            d = int(tri.mts[order[i]])
-            if d == 0:
-                break  # mts = 0 triangles are valid in every (k, δ)-truss
-            seeds: list[int] = []
-            while i < len(order) and tri.mts[order[i]] == d:
-                tid = int(order[i])
-                i += 1
-                if tri_alive[tid]:
-                    tri_alive[tid] = False
-                    for e in tri.tri_e[tid]:
-                        e = int(e)
-                        if alive[e]:
-                            sup[e] -= 1
-                            seeds.append(e)
-            removed = peel_to_truss(
-                alive=alive,
-                sup=sup,
-                tri_e=tri.tri_e,
-                tri_alive=tri_alive,
-                edge_tris=tri.edge_tris,
-                threshold=k - 2,
-                seeds=seeds,
-            )
-            for e in removed:
-                span_k[e] = d
-        span_k[alive] = 0  # survivors of the full sweep: k-span 0
-        spans[k] = span_k
+        spans[k] = decomph(
+            alive=in_k,
+            sup=support(m, tri.tri_e, tri_in),
+            tri_e=tri.tri_e,
+            mts=tri.mts,
+            tri_alive=tri_in,
+            edge_tris=tri.edge_tris,
+            threshold=k - 2,
+            stop=0,
+        )
 
     return KspanTable(list(g.edges), trn, kmax, dmax, spans)

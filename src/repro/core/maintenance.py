@@ -28,7 +28,9 @@ instead of rebuilt:
    supporting such a change — passes this filter.
 4. **Verification** (Algorithm 2): run DBA's ``decomph`` sweep on the
    collected local subgraph from δ⁺ downward, overwriting the k-spans of
-   the region edges with their exact new values.
+   the region edges with their exact new values. A promoted edge left
+   unverified, or a new edge with fewer than k−2 triangles inside the
+   k-truss of G+, contradicts the lemmas above and raises ``RuntimeError``.
 
 Static trussness under an *edge* insertion is recomputed exactly and
 locally-in-k: for each k ≤ kb (the classic upper bound of [36]),
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomposition import peel_to_truss, support
+from .decomposition import decomph, peel_to_truss, support
 from .kspan import KspanTable
 from .model import TemporalGraph
 
@@ -195,51 +197,27 @@ def _verify_sweep(
     local = list(region) + list(boundary)
     pos = {e: i for i, e in enumerate(local)}
     n = len(local)
-    n_region = len(region)
     loc_tri = np.asarray(
         [[pos[int(x)] for x in tri.tri_e[tid]] for tid in tids], dtype=np.int64
     ).reshape(len(tids), 3)
-    loc_mts = np.asarray([int(tri.mts[tid]) for tid in tids], dtype=np.int64)
     loc_edge_tris: list[list[int]] = [[] for _ in range(n)]
-    for i in range(len(tids)):
-        for le in loc_tri[i]:
-            loc_edge_tris[int(le)].append(i)
-    alive = np.ones(n, dtype=bool)
+    for i, es in enumerate(loc_tri.tolist()):
+        for le in es:
+            loc_edge_tris[le].append(i)
     tri_alive = np.ones(len(tids), dtype=bool)
     sup = support(n, loc_tri, tri_alive)
-    sup[n_region:] = np.int64(1) << 40  # boundary: s[e'] ← ∞ (Alg. 1 line 22)
-    new_span: dict[int, int] = {}
-    order = np.argsort(-loc_mts, kind="stable")
-    i = 0
-    while i < len(order):
-        d = int(loc_mts[order[i]])
-        if d <= delta_minus:
-            break  # triangles at or below δ⁻ stay valid throughout
-        seeds: list[int] = []
-        while i < len(order) and loc_mts[order[i]] == d:
-            ti = int(order[i])
-            i += 1
-            if tri_alive[ti]:
-                tri_alive[ti] = False
-                for le in loc_tri[ti]:
-                    le = int(le)
-                    if alive[le]:
-                        sup[le] -= 1
-                        seeds.append(le)
-        removed = peel_to_truss(
-            alive=alive,
-            sup=sup,
-            tri_e=loc_tri,
-            tri_alive=tri_alive,
-            edge_tris=loc_edge_tris,
-            threshold=k - 2,
-            seeds=seeds,
-        )
-        for le in removed:
-            new_span[local[le]] = d
-    for le in np.flatnonzero(alive[:n_region]):
-        new_span[local[int(le)]] = delta_minus
-    return new_span
+    sup[len(region):] = np.int64(1) << 40  # boundary: s[e'] ← ∞ (Alg. 1 line 22)
+    span = decomph(
+        alive=np.ones(n, dtype=bool),
+        sup=sup,
+        tri_e=loc_tri,
+        mts=tri.mts[np.asarray(tids, dtype=np.int64)],
+        tri_alive=tri_alive,
+        edge_tris=loc_edge_tris,
+        threshold=k - 2,
+        stop=delta_minus,
+    )
+    return dict(zip(region, span[: len(region)].tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -297,8 +275,11 @@ def _e0_bound(
             acts.append(a)
     need = max(1, k - 2)
     if len(acts) < need:
-        # e0 ∈ k-truss(G+) guarantees this cannot happen; be safe anyway
-        return int(g.triangles().mts.max()) if g.triangles().n else 0
+        # e0 ∈ k-truss(G+) gives it ≥ k−2 triangles inside the k-truss
+        raise RuntimeError(
+            f"edge {e0} at k={k}: {len(acts)} triangles inside the k-truss, "
+            f"need {need}"
+        )
     acts.sort()
     return acts[need - 1]
 
@@ -408,7 +389,7 @@ def update_kspan_table(
                 continue  # fully-present only where all edges are members
             intervals.append((delta_m, delta_p))
             seeds.extend(es)
-        if not intervals and not promo_k:
+        if not intervals and not promo_k_all:
             continue  # level k fully filtered out
 
         if promo_k:
@@ -448,11 +429,10 @@ def update_kspan_table(
             stats.touched_ks.append(k)
             stats.region_sizes[k] = region_total
         # a new/promoted edge is always covered by some interval's region
-        # (its triangles' intervals all overlap at its own estimate); keep
-        # the provisional upper bound as a belt-and-braces fallback
+        # (its triangles' intervals all overlap at its own estimate)
         for e in promo_k_all:
             if spans_k[e] < 0:
-                spans_k[e] = int(est[e])
+                raise RuntimeError(f"promoted edge {e} at k={k} left unverified")
         stats.changed[k] = n_changed
 
     return stats

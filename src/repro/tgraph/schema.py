@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 #: column names of the flat layout
@@ -60,16 +60,6 @@ def pack_flat(flat: DataFrame) -> DataFrame:
         .groupBy("src", "dst")
         .agg(F.sort_array(F.collect_set("t")).alias("ts"))
     )
-
-
-def flat_to_spark(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
-    """Create a flat Spark frame from a (possibly unnormalized) pandas frame."""
-    return spark.createDataFrame(normalize_flat_pdf(pdf))
-
-
-def packed_to_pandas(packed: DataFrame) -> pd.DataFrame:
-    """Collect a packed Spark frame deterministically (sorted by src, dst)."""
-    return packed.orderBy("src", "dst").toPandas()
 
 
 def pack_flat_pdf(pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:

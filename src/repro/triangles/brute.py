@@ -38,17 +38,6 @@ def triangles_with_mts(flat: pd.DataFrame) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def delta_support(flat: pd.DataFrame, delta: float) -> dict[tuple[int, int], int]:
-    """δ-support of every edge in the full graph (Definition 3)."""
-    tmap = _packed_map(flat)
-    sup = {e: 0 for e in tmap}
-    for a, b, c, m in triangles_with_mts(flat):
-        if m <= delta:
-            for e in ((a, b), (b, c), (a, c)):
-                sup[e] += 1
-    return sup
-
-
 def kd_truss(flat: pd.DataFrame, k: int, delta: float) -> set[tuple[int, int]]:
     """(k, δ)-truss edge set by definition: repeatedly drop deficient edges.
 

@@ -48,7 +48,3 @@ def enumerate_triangles(packed: DataFrame) -> DataFrame:
         "a", "b", "c", _mts_udf("ts_ab", "ts_bc", "ts_ac").alias("mts")
     )
 
-
-def triangle_count(packed: DataFrame) -> int:
-    """|∆| — total triangles (Table I column)."""
-    return enumerate_triangles(packed).count()

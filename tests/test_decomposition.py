@@ -5,7 +5,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.decomposition import support, triangle_level, trussness
+from repro.core.decomposition import support, trussness
 from repro.core.model import TemporalGraph
 from repro.tgraph.generators import random_temporal_graph, triangle_rich_graph
 from repro.triangles.brute import static_trussness
@@ -76,14 +76,6 @@ def test_support_counts_valid_alive_only():
     sup3 = support(g.m, tri.tri_e, np.ones(tri.n, bool), alive)
     assert sup3[0] == 0 or True  # edge 0's own count irrelevant once dead
     assert sup3.max() <= 2
-
-
-def test_triangle_level():
-    g = TemporalGraph.from_flat(_complete_graph(4))
-    tri = g.triangles()
-    trn = trussness(g.m, tri.tri_e, np.ones(tri.n, bool), tri.edge_tris)
-    lvl = triangle_level(tri.tri_e, trn)
-    assert (lvl == 4).all()
 
 
 def test_empty_graph():

@@ -15,28 +15,14 @@ from repro.tgraph.generators import (
     triangle_rich_graph,
 )
 
-
-def _span_map(table: KspanTable) -> dict:
-    """Edge-keyed view of the table (edge ids differ between maintained and
-    rebuilt tables, edge keys do not)."""
-    out = {}
-    for i, e in enumerate(table.edges):
-        out[e] = {
-            "trn": int(table.trn[i]),
-            "spans": {
-                k: int(table.spans[k][i])
-                for k in range(3, table.kmax + 1)
-                if table.spans[k][i] >= 0
-            },
-        }
-    return out
+from tests.helpers import span_map
 
 
 def _assert_equiv_rebuild(g: TemporalGraph, table: KspanTable):
     fresh = rebuild_from_scratch(g)
     assert table.kmax == fresh.kmax
     assert table.delta_max == fresh.delta_max
-    assert _span_map(table) == _span_map(fresh)
+    assert span_map(table) == span_map(fresh)
 
 
 # -- timestamp insertion ------------------------------------------------------
@@ -144,12 +130,12 @@ def test_noop_insertion_changes_nothing():
     flat = random_temporal_graph(n_vertices=10, n_edges=30, n_timestamps=8, seed=7)
     g = TemporalGraph.from_flat(flat)
     table = mba(g)
-    before = _span_map(table)
+    before = span_map(table)
     u, v = g.edges[0]
     t = int(g.times[0][0])
     stats = update_kspan_table(g, table, u, v, t)
     assert stats.kind == "noop"
-    assert _span_map(table) == before
+    assert span_map(table) == before
 
 
 def test_region_is_local():

@@ -13,12 +13,7 @@ from repro.core.mba import mba
 from repro.core.model import TemporalGraph
 from repro.tgraph.schema import normalize_flat_pdf
 
-
-def _span_map(table):
-    return {
-        e: {k: int(table.spans[k][i]) for k in range(3, table.kmax + 1) if table.spans[k][i] >= 0}
-        for i, e in enumerate(table.edges)
-    }
+from tests.helpers import span_map
 
 
 interaction = st.tuples(
@@ -44,7 +39,7 @@ def test_random_streams_equal_rebuild(base, stream):
         update_kspan_table(g, table, u, v, t)
     fresh = mba(TemporalGraph.from_flat(g.to_flat()))
     assert table.kmax == fresh.kmax
-    assert _span_map(table) == _span_map(fresh)
+    assert span_map(table) == span_map(fresh)
 
 
 @settings(max_examples=25, deadline=None)
@@ -70,4 +65,4 @@ def test_dense_small_world_stream(seed):
             continue
         update_kspan_table(g, table, int(u), int(v), int(rng.integers(0, 10)))
     fresh = mba(TemporalGraph.from_flat(g.to_flat()))
-    assert _span_map(table) == _span_map(fresh)
+    assert span_map(table) == span_map(fresh)

@@ -9,12 +9,7 @@ from repro.core.model import TemporalGraph
 from repro.core.tc_index import TCIndex
 from repro.tgraph.generators import analog, random_temporal_graph, triangle_rich_graph
 
-
-def _span_map(table):
-    return {
-        e: {k: int(table.spans[k][i]) for k in range(3, table.kmax + 1) if table.spans[k][i] >= 0}
-        for i, e in enumerate(table.edges)
-    }
+from tests.helpers import span_map
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -30,7 +25,7 @@ def test_fifty_mixed_insertions(seed):
     fresh = mba(TemporalGraph.from_flat(g.to_flat()))
     assert m.table.kmax == fresh.kmax
     assert m.table.delta_max == fresh.delta_max
-    assert _span_map(m.table) == _span_map(fresh)
+    assert span_map(m.table) == span_map(fresh)
     # and the maintained TC-Index answers like a freshly built one
     fresh_idx = TCIndex(fresh)
     for k in range(3, fresh.kmax + 1):
@@ -49,7 +44,7 @@ def test_stream_on_clique_overlap_graph():
         u, v = int(rng.integers(0, n_verts)), int(rng.integers(0, n_verts))
         m.insert(u, v, int(rng.integers(0, 30)))
     fresh = mba(TemporalGraph.from_flat(g.to_flat()))
-    assert _span_map(m.table) == _span_map(fresh)
+    assert span_map(m.table) == span_map(fresh)
     fresh_idx = DCIndex(fresh)
     for k in range(3, fresh.kmax + 1):
         assert m.index.query(k, fresh.delta_max // 3) == fresh_idx.query(
@@ -69,4 +64,23 @@ def test_stream_on_email_analog():
         v = verts[int(rng.integers(0, len(verts)))]
         m.insert(u, v, int(rng.integers(0, 803)))
     fresh = mba(TemporalGraph.from_flat(g.to_flat()))
-    assert _span_map(m.table) == _span_map(fresh)
+    assert span_map(m.table) == span_map(fresh)
+
+
+def test_mathoverflow_reinsertion_stream():
+    """200 held-out analog rows, timestamp and edge insertions mixed, ≡ rebuild."""
+    flat = analog("mathoverflow", sf=0.2, seed=7)
+    held = np.random.default_rng(11).choice(len(flat), size=200, replace=False)
+    g = TemporalGraph.from_flat(flat.drop(flat.index[held]))
+    g.triangles()
+    m = TCMaintainer(g)
+    kinds = []
+    rows = flat.iloc[held][["u", "v", "t"]].itertuples(index=False)
+    for i, (u, v, t) in enumerate(rows, start=1):
+        kinds.append(m.insert(int(u), int(v), int(t)).kind)
+        if i % 100 == 0:
+            fresh = mba(TemporalGraph.from_flat(g.to_flat()))
+            assert m.table.kmax == fresh.kmax
+            assert m.table.delta_max == fresh.delta_max
+            assert span_map(m.table) == span_map(fresh), i
+    assert kinds.count("ts") > 0 and kinds.count("edge") > 0

@@ -1,13 +1,10 @@
-"""Distributed Online-Query and distributed truss decomposition."""
+"""Distributed Online-Query (the paper's index-free baseline) ≡ local."""
 import math
 
-import numpy as np
 import pytest
 
-from repro.core.decomposition import trussness
 from repro.core.model import TemporalGraph
 from repro.core.online import online_query, online_query_spark
-from repro.core.spark_index import trussness_spark
 from repro.tgraph.generators import random_temporal_graph, triangle_rich_graph
 from repro.tgraph.schema import pack_flat
 from repro.triangles.enumerate import enumerate_triangles
@@ -46,15 +43,3 @@ def test_online_spark_k2(spark):
     edges, tris = _spark_inputs(spark, flat_pdf)
     assert online_query_spark(edges, tris, 2, 0).count() == edges.count()
 
-
-def test_trussness_spark_matches_local(spark):
-    flat_pdf = triangle_rich_graph(n_cliques=2, clique_size=6, n_timestamps=10, seed=5)
-    edges, tris = _spark_inputs(spark, flat_pdf)
-    got = {
-        (int(r["src"]), int(r["dst"])): int(r["trn"])
-        for r in trussness_spark(edges, tris).collect()
-    }
-    g = TemporalGraph.from_flat(flat_pdf)
-    t = g.triangles()
-    expect = trussness(g.m, t.tri_e, np.ones(t.n, bool), t.edge_tris)
-    assert got == {g.edges[e]: int(expect[e]) for e in range(g.m)}

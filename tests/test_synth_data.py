@@ -1,20 +1,5 @@
-"""Provided synth_data module + its temporal-graph extension."""
-import pytest
-
+"""synth_data: flat temporal-edge tables as Spark DataFrames."""
 from repro import synth_data
-
-
-def test_tpch_lite_generators(spark):
-    li = synth_data.lineitem(spark, sf=0.001, seed=0)
-    o = synth_data.orders(spark, sf=0.001, seed=1)
-    assert li.count() > 0 and o.count() > 0
-    assert "l_orderkey" in li.columns and "o_orderkey" in o.columns
-
-
-def test_zipf_and_uniform_keys(spark):
-    z = synth_data.zipf_keys(spark, n=500, n_keys=50, seed=3)
-    u = synth_data.uniform_keys(spark, n=500, n_keys=50, seed=4)
-    assert z.count() == 500 and u.count() == 500
 
 
 def test_temporal_edges_analog(spark):
