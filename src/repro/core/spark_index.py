@@ -6,7 +6,7 @@ Division of labour (DESIGN.md §2, "Layering decisions"):
   edges: normalization, triangle enumeration and minimum-time-span
   evaluation — the stages whose cost is driven by |E| and |∆|.
 * Static truss decomposition and the MBA δ-sweep are sequential cascades;
-  they run on the driver over the Spark-computed triangle relation (PySpark
+  they run in-process over the collected Spark triangle relation (PySpark
   has no GraphX API, and a round per peeling level — or per δ, δmax ≈ 2000
   — would be pure scheduler overhead). The distributed peeling fixpoint is
   :func:`repro.core.online.online_query_spark`, the paper's index-free

@@ -5,7 +5,7 @@ The paper evaluates on temporal graphs: one row per interaction
 evaluation datasets (``repro.tgraph.generators``) and unstructured random
 temporal graphs to Spark, at the usual scale-factor convention (tests
 SF≈0.01–0.1, benches SF=1). Generators are deterministic in ``seed`` so the
-DuckDB oracle and the driver-local path see identical input.
+DuckDB oracle and the local (pandas) path see identical input.
 """
 from pyspark.sql import DataFrame, SparkSession
 
