@@ -16,21 +16,29 @@ Derivation, exactly as in the paper:
 5. **Compressed lookup table**: per k, the run-length-encoded map δ → tree
    node representing T_{k,δ} (runs keyed by their smallest δ).
 
-DC-Query(k, δ): one lookup-row bisection + a root-path walk unioning the
-IESes — same output-optimal complexity as TC-Query (Theorem 4), and the
-tree is space-optimal among structures with that query time (Theorem 3);
-in particular total stored edges ≤ TC-Index's (each node stores
-min(w_h, w_v) ≤ w_h, and TC's rows are exactly the Σ w_h + |T_{k,0}|
-decomposition).
+The whole derivation runs on the (k, δ) cell grid in numpy: one cumsum
+matrix of truss sizes gives both edge weights of every cell, pointer
+jumping over the sink array resolves each cell's representative node, and
+the IES payloads are scattered with ``searchsorted``/``repeat``.
+
+Storage is a heavy-path decomposition (Sleator–Tarjan) of the tree: all
+payloads sit in one read-only array in heavy-child-first preorder, so each
+chain of heavy edges is one contiguous slice. A root path crosses at most
+⌊log₂|nodes|⌋ light edges, hence DC-Query(k, δ) is one lookup-row bisection
+plus at most ⌊log₂|nodes|⌋ + 1 slices — the same output-optimal complexity
+as TC-Query (Theorem 4). The tree is space-optimal among structures with
+that query time (Theorem 3); in particular total stored edges ≤ TC-Index's
+(each node stores min(w_h, w_v) ≤ w_h, and TC's rows are exactly the
+Σ w_h + |T_{k,0}| decomposition).
 """
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kspan import KspanTable
+from .kspan import KspanTable, check_query
 
 
 @dataclass
@@ -40,7 +48,29 @@ class DCNode:
     k: int
     delta: int
     parent: tuple[int, int] | None  # key of the next node on the root path
-    edge_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    edge_ids: np.ndarray  # read-only view of this node's IES in the flat array
+
+
+def _jump(ptr: np.ndarray) -> np.ndarray:
+    """Pointer jumping: follow ``ptr`` from every slot to its fixed point."""
+    while True:
+        nxt = ptr[ptr]
+        if np.array_equal(nxt, ptr):
+            return ptr
+        ptr = nxt
+
+
+def _scatter(flat, node_delta, begin, e, lo, hi) -> None:
+    """Write edge e[i] into every node whose δ (sorted ``node_delta``) lies
+    in [lo[i], hi[i]]; node j's payload starts at flat[begin[j]] and keeps
+    edge-id order."""
+    a = np.searchsorted(node_delta, lo, "left")
+    cnt = np.maximum(np.searchsorted(node_delta, hi, "right") - a, 0)
+    node = np.repeat(a - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+    order = np.argsort(node, kind="stable")
+    node = node[order]
+    rank = np.arange(len(node)) - np.searchsorted(node, node, "left")
+    flat[begin[node] + rank] = np.repeat(e, cnt)[order]
 
 
 class DCIndex:
@@ -54,143 +84,127 @@ class DCIndex:
 
     # -- construction --------------------------------------------------------
     def _build(self, table: KspanTable) -> None:
-        kmax, dmax, m = table.kmax, table.delta_max, table.m
-        ks = list(range(3, kmax + 1))
-        if not ks:
-            self.nodes: dict[tuple[int, int], DCNode] = {}
-            self.rows: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
-            self.root: tuple[int, int] | None = None
+        kmax, n_d = table.kmax, table.delta_max + 1
+        self.nodes: dict[tuple[int, int], DCNode] = {}
+        self.rows: dict[int, tuple[list[int], list[tuple[int, int]]]] = {}
+        self.root: tuple[int, int] | None = (kmax, 0) if kmax >= 3 else None
+        n_k = kmax - 2  # levels k = 3 … kmax are grid rows 0 … n_k − 1
+        if n_k < 1:
             return
 
-        # |T_{k,δ}| for all k, δ — per-k histogram of k-spans, then cumsum.
-        size: dict[int, np.ndarray] = {}
-        for k in ks:
-            s = table.spans[k]
-            s = s[s >= 0]
-            hist = np.bincount(s, minlength=dmax + 1)
-            size[k] = np.cumsum(hist)
+        # |T_{k,δ}| for every cell; the extra zero row stands for T_{kmax+1}.
+        size = np.zeros((n_k + 1, n_d), dtype=np.int64)
+        for i in range(n_k):
+            s = table.spans[i + 3]
+            size[i] = np.bincount(s[s >= 0], minlength=n_d)
+        size = np.cumsum(size, axis=1)
+        w_v = size[:-1] - size[1:]
+        w_h = np.diff(size[:-1], axis=1, prepend=0)
+        # lighter out-edge, vertical on ties (it chains toward the root
+        # fastest; either is correct since both sinks are then equal sets);
+        # at δ = 0 vertical always wins, at k = kmax only horizontal exists
+        vert = w_v <= w_h
+        vert[-1] = False
+        w = np.where(vert, w_v, w_h).ravel()
+        cell = np.arange(n_k * n_d)
+        sink = np.where(vert.ravel(), cell + n_d, cell - 1)
+        kept = w > 0
+        root = (n_k - 1) * n_d
+        kept[root], sink[root] = True, root
+        rep = _jump(np.where(kept, cell, sink))
 
-        # Choose the lighter outgoing edge per node; resolve representatives.
-        # rep[(k,δ)] = the kept node whose truss is identical to T_{k,δ}.
-        rep: dict[tuple[int, int], tuple[int, int]] = {}
-        choice: dict[tuple[int, int], tuple[str, int]] = {}  # kept: (dir, weight)
-        root = (kmax, 0)
-        for d in range(0, dmax + 1):
-            for k in reversed(ks):
-                node = (k, d)
-                w_v = int(size[k][d] - size[k + 1][d]) if k < kmax else None
-                w_h = int(size[k][d] - size[k][d - 1]) if d > 0 else None
-                if node == root:
-                    rep[node] = node
-                    choice[node] = ("root", int(size[k][d]))
-                    continue
-                # pick the lighter existing out-edge (ties prefer vertical,
-                # which chains toward the root fastest; any tie-break is
-                # correct since both sinks are then identical sets)
-                if w_v is not None and (w_h is None or w_v <= w_h):
-                    direction, w, sink = "v", w_v, (k + 1, d)
-                else:
-                    direction, w, sink = "h", w_h, (k, d - 1)
-                if w == 0:
-                    rep[node] = rep[sink]
-                else:
-                    rep[node] = node
-                    choice[node] = (direction, w)
+        # Kept nodes in δ-ascending, k-descending order: a parent (larger k
+        # or smaller δ) always precedes its children, and the root is first.
+        kc = np.flatnonzero(kept)
+        kc = kc[np.lexsort((-kc, kc % n_d))]
+        n = len(kc)
+        node_of = np.full(len(cell), -1)
+        node_of[kc] = np.arange(n)
+        par = node_of[rep[sink[kc]]]
+        par[0] = -1
 
-        # Materialize kept nodes with parent pointers.
-        self.root = root
-        self.nodes = {}
-        for (k, d), (direction, _w) in choice.items():
-            if direction == "root":
-                parent = None
-            elif direction == "v":
-                parent = rep[(k + 1, d)]
-            else:
-                parent = rep[(k, d - 1)]
-            self.nodes[(k, d)] = DCNode(k, d, parent)
+        # Heavy-path layout: subtree node counts, heavy child = largest
+        # count (ties: lowest node index), children heavy first.
+        par_l, sub = par.tolist(), [1] * n
+        for j in range(n - 1, 0, -1):
+            sub[par_l[j]] += sub[j]
+        sub = np.asarray(sub)
+        child = np.lexsort((np.arange(1, n), -sub[1:], par[1:])) + 1
+        first = np.diff(par[child], prepend=-1) != 0
+        heavy = np.zeros(n, dtype=bool)
+        heavy[child[first]] = True
+        # preorder position = Σ over the root path of (1 + subtree counts of
+        # the earlier siblings), a path sum taken by pointer jumping
+        before = np.cumsum(sub[child]) - sub[child]
+        pos = np.zeros(n, dtype=np.int64)
+        pos[child] = 1 + before - np.maximum.accumulate(np.where(first, before, 0))
+        up = np.maximum(par, 0)
+        while up.any():
+            pos, up = pos + pos[up], up[up]
+        weight = w[kc]
+        by_pos = np.zeros(n, dtype=np.int64)
+        by_pos[pos] = weight
+        begin = (np.cumsum(by_pos) - by_pos)[pos]
+        end = begin + weight
+        head = _jump(np.where(heavy, par, np.arange(n)))
 
-        # Fill IES payloads.
-        #  horizontal node (k,δ): edges with k-span exactly δ
-        #  vertical node (k,δ):  edges with span_k ≤ δ < span_{k+1}
-        #  root:                 all of T_{kmax,0}
-        for k in ks:
-            s = table.spans[k]
-            in_k = s >= 0
-            nxt = table.spans.get(k + 1)
-            if nxt is None:
-                nxt_eff = np.full(m, np.iinfo(np.int64).max, dtype=np.int64)
-            else:
-                nxt_eff = np.where(nxt >= 0, nxt, np.iinfo(np.int64).max)
-            h_deltas = sorted(
-                d for (kk, d) in self.nodes if kk == k and choice[(kk, d)][0] == "h"
-            )
-            v_deltas = sorted(
-                d for (kk, d) in self.nodes if kk == k and choice[(kk, d)][0] == "v"
-            )
-            # horizontal: group edges by span value
-            if h_deltas:
-                hset = set(h_deltas)
-                buckets: dict[int, list[int]] = {d: [] for d in h_deltas}
-                for e in np.flatnonzero(in_k):
-                    sp = int(s[e])
-                    if sp in hset:
-                        buckets[sp].append(int(e))
-                for d in h_deltas:
-                    self.nodes[(k, d)].edge_ids = np.asarray(buckets[d], dtype=np.int64)
-            # vertical: edge e belongs to every chosen δ in [span_k(e), span_{k+1}(e)−1]
-            if v_deltas:
-                vbuckets: dict[int, list[int]] = {d: [] for d in v_deltas}
-                for e in np.flatnonzero(in_k):
-                    lo = int(s[e])
-                    hi = int(min(nxt_eff[e] - 1, self.delta_max))
-                    if hi < lo:
-                        continue
-                    i = bisect.bisect_left(v_deltas, lo)
-                    while i < len(v_deltas) and v_deltas[i] <= hi:
-                        vbuckets[v_deltas[i]].append(int(e))
-                        i += 1
-                for d in v_deltas:
-                    self.nodes[(k, d)].edge_ids = np.asarray(vbuckets[d], dtype=np.int64)
-        # root payload: T_{kmax,0}
-        s = table.spans[kmax]
-        self.nodes[root].edge_ids = np.flatnonzero(s == 0).astype(np.int64)
+        # IES payloads, written straight into the flat array:
+        #  horizontal node (k,δ) and the root: edges with k-span exactly δ
+        #  vertical node (k,δ): edges with span_k ≤ δ < span_{k+1}
+        flat = np.empty(int(weight.sum()), dtype=np.int64)
+        ki, kd = kc // n_d, kc % n_d
+        is_v = vert.ravel()[kc]
+        for i in range(n_k):
+            s = table.spans[i + 3]
+            e = np.flatnonzero(s >= 0)
+            lo = s[e]
+            at = ki == i
+            h = np.flatnonzero(at & ~is_v)  # δ-ascending, as kc is
+            _scatter(flat, kd[h], begin[h], e, lo, lo)
+            v = np.flatnonzero(at & is_v)
+            if len(v):
+                nxt = table.spans[i + 4][e]
+                hi = np.where(nxt >= 0, nxt - 1, n_d - 1)
+                _scatter(flat, kd[v], begin[v], e, lo, hi)
+        flat.setflags(write=False)  # query results may be views of it
+
+        keys = list(zip((ki + 3).tolist(), kd.tolist()))
+        for (k, d), p, b, t in zip(keys, par_l, begin.tolist(), end.tolist()):
+            self.nodes[(k, d)] = DCNode(k, d, keys[p] if p >= 0 else None, flat[b:t])
+        # per node: its payload's end, its chain head's payload start, and the
+        # node after the chain (the head's parent, −1 past the root)
+        self._flat = flat
+        self._end = end.tolist()
+        self._head_begin = begin[head].tolist()
+        self._next = par[head].tolist()
 
         # Compressed lookup table: per-k runs of identical representatives.
-        self.rows = {}
-        for k in ks:
-            starts: list[int] = []
-            reps: list[tuple[int, int]] = []
-            prev = None
-            for d in range(0, dmax + 1):
-                r = rep[(k, d)]
-                if r != prev:
-                    starts.append(d)
-                    reps.append(r)
-                    prev = r
-            self.rows[k] = (starts, reps)
+        self._lookup: dict[int, tuple[list[int], list[int]]] = {}
+        for i in range(n_k):
+            r = rep[i * n_d:(i + 1) * n_d]
+            starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]]).tolist()
+            nodes = node_of[r[starts]].tolist()
+            self._lookup[i + 3] = (starts, nodes)
+            self.rows[i + 3] = (starts, [keys[j] for j in nodes])
 
     # -- query ---------------------------------------------------------------
     def query_ids(self, k: int, delta: float) -> np.ndarray:
-        """Edge ids of T_{k,δ}: lookup + union of IESes on the root path."""
+        """Edge ids of T_{k,δ}: lookup, then one slice per chain on the root path."""
+        check_query(k, delta)
         if k <= 2:
             return np.arange(len(self.edges))
-        if k > self.kmax or k not in self.rows:
-            return np.zeros(0, dtype=np.int64)
-        if delta < 0:
+        if k > self.kmax or delta < 0:
             return np.zeros(0, dtype=np.int64)
         # clamp before int(): δ may be float('inf') (= the static k-truss)
         delta_c = self.delta_max if delta >= self.delta_max else int(delta)
-        starts, reps = self.rows[k]
-        i = bisect.bisect_right(starts, delta_c) - 1
-        node_key = reps[i]
+        starts, nodes = self._lookup[k]
+        j = nodes[bisect.bisect_right(starts, delta_c) - 1]
+        flat, head_begin, end, nxt = self._flat, self._head_begin, self._end, self._next
         parts = []
-        while node_key is not None:
-            node = self.nodes[node_key]
-            parts.append(node.edge_ids)
-            node_key = node.parent
-        if not parts:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(parts)
+        while j >= 0:
+            parts.append(flat[head_begin[j]:end[j]])
+            j = nxt[j]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def query(self, k: int, delta: float) -> set[tuple[int, int]]:
         return {self.edges[int(e)] for e in self.query_ids(k, delta)}

@@ -8,9 +8,11 @@ patches the index:
   the positions of the edges" at per-level granularity);
 * **DC-IM** additionally re-derives the arborescence/tree from the patched
   table — the "additional structural adjustments" the paper cites for
-  DC-Index being slightly slower to maintain. No triangle or peeling work
-  is redone in either case; that is what the rebuild baseline (MBA from
-  scratch) pays per update.
+  DC-Index being slightly slower to maintain. The re-derivation is the
+  vectorized ``DCIndex`` build (numpy over the (k, δ) grid, no per-edge
+  loop); it still redoes every lookup row, not only the changed ones.
+  No triangle or peeling work is redone in either case; that is what the
+  rebuild baseline (MBA from scratch) pays per update.
 """
 from __future__ import annotations
 

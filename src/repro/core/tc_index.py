@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kspan import KspanTable
+from .kspan import KspanTable, check_query
 
 
 @dataclass
@@ -79,6 +79,7 @@ class TCIndex:
     # -- query ---------------------------------------------------------------
     def query_ids(self, k: int, delta: float) -> np.ndarray:
         """Edge ids of T_{k,δ} — a single suffix scan of E_k."""
+        check_query(k, delta)
         if k <= 2:
             return np.arange(len(self.edges))
         if k > self.kmax:

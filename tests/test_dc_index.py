@@ -125,3 +125,79 @@ def test_edge_cases():
     assert idx.query(idx.kmax + 1, math.inf) == set()
     assert idx.query(3, -1) == set()
     assert idx.query(3, math.inf) == online_query(g, 3, math.inf)
+
+
+@pytest.fixture(scope="module")
+def email_table():
+    return mba(TemporalGraph.from_flat(analog("email", sf=0.3, seed=7)))
+
+
+def test_ies_is_truss_minus_parent(email_table):
+    """Each kept node stores exactly T(node) \\ T(parent); the root all of T(root)."""
+    table = email_table
+    idx = DCIndex(table)
+    for (k, d), node in idx.nodes.items():
+        want = table.truss_edge_ids(k, d)
+        if node.parent is not None:
+            want = np.setdiff1d(want, table.truss_edge_ids(*node.parent))
+        assert np.array_equal(node.edge_ids, want), (k, d)
+
+
+def test_root_path_is_few_chain_slices(email_table):
+    """Heavy-path layout: any root path is ≤ ⌊log₂|nodes|⌋ + 1 contiguous slices."""
+    idx = DCIndex(email_table)
+    bound = math.floor(math.log2(len(idx.nodes))) + 1
+    for j in range(len(idx.nodes)):
+        slices = 0
+        while j >= 0:
+            slices += 1
+            j = idx._next[j]
+        assert slices <= bound
+
+
+def test_dc_equals_tc_on_email_analog(email_table):
+    """Theorem 4 at analog scale: seeded (k, δ) pairs plus the δ boundaries."""
+    table = email_table
+    tc, dc = TCIndex(table), DCIndex(table)
+    rng = np.random.default_rng(5)
+    pairs = [
+        (int(rng.integers(3, table.kmax + 1)), int(rng.integers(0, table.delta_max + 1)))
+        for _ in range(500)
+    ]
+    pairs += [
+        (k, d)
+        for k in range(3, table.kmax + 1)
+        for d in (0, table.delta_max, table.delta_max + 1, math.inf)
+    ]
+    for k, d in pairs:
+        assert np.array_equal(np.sort(dc.query_ids(k, d)), np.sort(tc.query_ids(k, d))), (k, d)
+
+
+def test_query_result_is_read_only(email_table):
+    """A DC result is a read-only view (one chain slice) or an owned copy
+    (several); writing to it must not reach the index."""
+    idx = DCIndex(email_table)
+    views = 0
+    for k in range(3, idx.kmax + 1):
+        for d in (0, idx.delta_max // 2, idx.delta_max):
+            ids = idx.query_ids(k, d)
+            before = ids.copy()
+            if ids.flags.writeable:
+                ids[:] = -1
+            else:
+                views += 1
+                with pytest.raises(ValueError):
+                    ids[0] = -1
+            assert np.array_equal(idx.query_ids(k, d), before), (k, d)
+    assert views > 0
+
+
+def test_bad_query_input_rejected():
+    """NaN δ and non-integral k raise; ints, numpy ints and inf are accepted."""
+    g = _graph(14)
+    idx = DCIndex(mba(g))
+    for k, d in ((3, math.nan), (3.5, 10), (np.float64(4.2), 0), (math.inf, 3)):
+        with pytest.raises(ValueError):
+            idx.query_ids(k, d)
+    for k, d in ((3, 10), (np.int64(3), np.int64(10)), (3, math.inf), (4.0, 2)):
+        assert idx.query(k, d) == online_query(g, int(k), d), (k, d)

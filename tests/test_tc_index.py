@@ -65,6 +65,17 @@ def test_query_result_is_read_only():
     assert np.array_equal(idx.query_ids(k, math.inf), before)
 
 
+def test_bad_query_input_rejected():
+    """NaN δ and non-integral k raise; ints, numpy ints and inf are accepted."""
+    g = _graph(4)
+    idx = TCIndex(mba(g))
+    for k, d in ((4, math.nan), (3.5, 10), (np.float64(4.2), 0), (math.inf, 3)):
+        with pytest.raises(ValueError):
+            idx.query_ids(k, d)
+    for k, d in ((3, 10), (np.int64(3), np.int64(10)), (3, math.inf), (4.0, 2)):
+        assert idx.query(k, d) == online_query(g, int(k), d), (k, d)
+
+
 def test_infinite_delta_returns_static_truss():
     g = _graph(5)
     idx = TCIndex(dba(g))
