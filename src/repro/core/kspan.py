@@ -93,24 +93,28 @@ def dba(g: TemporalGraph) -> KspanTable:
     tri = g.triangles()
     m = g.m
     all_ok = np.ones(tri.n, dtype=bool)
-    trn = trussness(m, tri.tri_e, all_ok, tri.edge_tris)
+    trn = trussness(m, tri, all_ok)
     kmax = int(trn.max()) if m else 2
     dmax = int(tri.mts.max()) if tri.n else 0
+    mts = tri.mts.tolist()
     spans: dict[int, np.ndarray] = {}
 
     for k in range(3, kmax + 1):
         in_k = trn >= k
         # X∆_k: triangles of the static k-truss (all edges have trn ≥ k)
         tri_in = in_k[tri.tri_e].all(axis=1) if tri.n else np.zeros(0, bool)
-        spans[k] = decomph(
-            alive=in_k,
-            sup=support(m, tri.tri_e, tri_in),
-            tri_e=tri.tri_e,
-            mts=tri.mts,
-            tri_alive=tri_in,
-            edge_tris=tri.edge_tris,
-            threshold=k - 2,
-            stop=0,
+        spans[k] = np.asarray(
+            decomph(
+                alive=in_k.tolist(),
+                sup=support(m, tri.tri_e, tri_in).tolist(),
+                tri_edges=tri.tri_edges,
+                mts=mts,
+                tri_alive=tri_in.tolist(),
+                edge_tris=tri.edge_tris,
+                threshold=k - 2,
+                stop=0,
+            ),
+            dtype=np.int64,
         )
 
     return KspanTable(list(g.edges), trn, kmax, dmax, spans)

@@ -32,24 +32,40 @@ instead of rebuilt:
    unverified, or a new edge with fewer than k−2 triangles inside the
    k-truss of G+, contradicts the lemmas above and raises ``RuntimeError``.
 
-Static trussness under an *edge* insertion is recomputed exactly and
-locally-in-k: for each k ≤ kb (the classic upper bound of [36]),
-``k-truss(G+) = k-truss(H_k)`` where ``H_k = {e : trn_G(e) ≥ k−1} ∪ {e0}``.
-Proof: every edge of k-truss(G+) has trn_{G+} ≥ k, hence trn_G ≥ k−1 (one
-insertion raises trussness by ≤ 1), so k-truss(G+) ⊆ H_k ⊆ G+; k-truss is
-monotone and idempotent, so k-truss(G+) = k-truss(k-truss(G+)) ⊆
-k-truss(H_k) ⊆ k-truss(G+). Edges of k-truss(H_k) with trn_G = k−1 are
-exactly those promoted to k.
+Static trussness under an *edge* insertion is recomputed exactly by a
+local search per k ≤ kb (the classic upper bound of [36]), the
+candidate-set idea of Huang et al.'s truss maintenance. BFS from e0 over
+the triangles whose edges all lie in H_k = {e : trn_G(e) ≥ k−1} ∪ {e0},
+expanding only through e0 and edges with trn_G = k−1; the edges it expands
+through form the candidate set C, and the trn_G ≥ k edges it meets are
+anchors with infinite support. Peeling C at threshold k−2 leaves exactly
+the promoted edges (plus e0 when trn(e0, G+) ≥ k). Proof: let S =
+k-truss(G+). Every edge of S has trn_G ≥ k−1 or is e0 (one insertion
+raises trussness by ≤ 1), so S ⊆ H_k. (i) No promoted edge lies outside
+C: if x ∈ S has trn_G = k−1 and x ∉ C, an S-triangle of x holding an edge
+y ∈ C lies in H_k, so the BFS expanding through y would have reached x.
+Hence every S-triangle of such an x avoids C and e0, and U = (S \\ C) ∪
+k-truss(G) is a subgraph of G in which every edge has support ≥ k−2; so U
+⊆ k-truss(G), contradicting trn_G(x) = k−1. (ii) The peel keeps S ∩ C:
+each such edge keeps its ≥ k−2 S-triangles, which the BFS collected and
+whose other edges lie in S ∩ C or are anchors (anchors lie in k-truss(G)
+⊆ S). (iii) The peel keeps nothing else: the survivors together with
+k-truss(G) have support ≥ k−2 everywhere, so they lie in S. The levels
+nest, so once e0 falls out of S at some k, S = k-truss(G) for every higher
+k and the search stops.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .decomposition import decomph, peel_to_truss, support
+from .decomposition import decomph, peel_to_truss
 from .kspan import KspanTable
-from .model import TemporalGraph
+from .model import TemporalGraph, TriangleStore
+
+INF = 1 << 40  # support of an anchor edge: never peeled (Alg. 1 line 22)
 
 
 @dataclass
@@ -62,6 +78,80 @@ class MaintenanceStats:
     region_sizes: dict[int, int] = field(default_factory=dict)
     changed: dict[int, int] = field(default_factory=dict)  # k -> #edges with new span
     promoted: dict[int, int] = field(default_factory=dict)  # k -> #promoted edges
+    candidates: dict[int, int] = field(default_factory=dict)  # k -> promotion candidate set size
+
+
+# --------------------------------------------------------------------------
+# local subgraphs: the BFS shared by promotion search and GAS
+# --------------------------------------------------------------------------
+
+
+@dataclass
+class _Local:
+    """A subgraph grown by :func:`_grow`, in local edge ids 0..n−1."""
+
+    edges: list[int] = field(default_factory=list)  # local id -> global edge id
+    inner: list[int] = field(default_factory=list)  # local ids the BFS expanded through
+    sup: list[int] = field(default_factory=list)  # local support; INF for anchors
+    tri_edges: list[tuple[int, int, int]] = field(default_factory=list)
+    edge_tris: list[list[int]] = field(default_factory=list)
+    tids: list[int] = field(default_factory=list)  # local triangle -> global tid
+
+
+def _grow(
+    tri: TriangleStore,
+    seeds: list[int],
+    tri_ok: Callable[[int], bool],
+    expand: Callable[[int], bool],
+) -> _Local:
+    """BFS from ``seeds`` over the triangles passing ``tri_ok``.
+
+    Each edge of an accepted triangle gets a local id when first met; the
+    BFS expands through it when ``expand`` says so (seeds always expand)
+    and otherwise keeps it as an anchor with support ∞. The support of an
+    expanded edge counts the accepted triangles on it, which are all of its
+    triangles passing ``tri_ok``.
+    """
+    out = _Local()
+    loc: dict[int, int] = {}
+    edges, inner, edge_tris = out.edges, out.inner, out.edge_tris
+    frontier: list[int] = []
+    for e in seeds:
+        if e not in loc:
+            loc[e] = len(edges)
+            inner.append(len(edges))
+            edges.append(e)
+            edge_tris.append([])
+            frontier.append(e)
+    seen: set[int] = set()
+    tri_edges, tids = tri.tri_edges, out.tids
+    while frontier:
+        for tid in tri.edge_tris[frontier.pop()]:
+            if tid in seen:
+                continue
+            seen.add(tid)
+            if not tri_ok(tid):
+                continue
+            lt = len(tids)
+            tids.append(tid)
+            ids = []
+            for x in tri_edges[tid]:
+                i = loc.get(x)
+                if i is None:
+                    i = loc[x] = len(edges)
+                    edges.append(x)
+                    edge_tris.append([lt])
+                    if expand(x):
+                        inner.append(i)
+                        frontier.append(x)
+                else:
+                    edge_tris[i].append(lt)
+                ids.append(i)
+            out.tri_edges.append(tuple(ids))
+    out.sup = [INF] * len(edges)
+    for i in inner:
+        out.sup[i] = len(edge_tris[i])
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -69,60 +159,63 @@ class MaintenanceStats:
 # --------------------------------------------------------------------------
 
 
-def _kb_upper_bound(g: TemporalGraph, e0: int, trn: np.ndarray) -> int:
+def _kb_upper_bound(tri: TriangleStore, e0: int, trn: list[int]) -> int:
     """k2/kb of [36]: max k with ≥ k−2 triangles of e0 whose other edges
     both have trn ≥ k−1."""
-    tri = g.triangles()
     caps = []
     for tid in tri.edge_tris[e0]:
-        others = [int(x) for x in tri.tri_e[tid] if int(x) != e0]
-        caps.append(min(trn[others[0]], trn[others[1]]))
+        a, b = (x for x in tri.tri_edges[tid] if x != e0)
+        caps.append(min(trn[a], trn[b]))
     caps.sort(reverse=True)
+    # the (k−2)-th largest cap must reach k−1
     kb = 2
     for k in range(3, len(caps) + 3):
-        # need ≥ k−2 triangles with cap ≥ k−1
-        cnt = sum(1 for c in caps if c >= k - 1)
-        if cnt >= k - 2:
+        if caps[k - 3] >= k - 1:
             kb = k
     return kb
 
 
 def _update_static_trussness(
-    g: TemporalGraph, trn_old: np.ndarray, e0: int
+    tri: TriangleStore, trn_old: np.ndarray, e0: int, stats: MaintenanceStats
 ) -> tuple[np.ndarray, dict[int, list[int]]]:
-    """Exact new trussness after inserting static edge e0 (docstring proof).
+    """Exact new trussness after inserting static edge e0, by the local
+    candidate search of the module docstring.
 
-    Returns (trn_new including e0's slot, {k: promoted edge ids}).
+    Returns (trn_new including e0's slot, {k: promoted edge ids}) and
+    records each level's candidate-set size in ``stats.candidates``.
     ``trn_old`` has length g.m (e0's slot present, value ignored).
     """
-    tri = g.triangles()
+    trn = trn_old.tolist()
     trn_new = trn_old.copy()
     trn_new[e0] = 2
-    kb = _kb_upper_bound(g, e0, trn_old)
     promoted: dict[int, list[int]] = {}
-    for k in range(3, kb + 1):
-        cand = (trn_old >= k - 1) | (np.arange(g.m) == e0)
-        # triangles fully inside H_k
-        tri_in = cand[tri.tri_e].all(axis=1) if tri.n else np.zeros(0, bool)
-        alive = cand.copy()
-        tri_alive = tri_in.copy()
-        sup = support(g.m, tri.tri_e, tri_alive)
+    tri_edges = tri.tri_edges
+
+    def in_h(tid: int) -> bool:  # all of the triangle's edges lie in H_k
+        a, b, c = tri_edges[tid]
+        return trn[a] >= k - 1 and trn[b] >= k - 1 and trn[c] >= k - 1
+
+    for k in range(3, _kb_upper_bound(tri, e0, trn) + 1):
+        trn[e0] = k - 1  # e0 joins H_k as a candidate
+        sub = _grow(tri, [e0], in_h, lambda x: trn[x] < k)
+        stats.candidates[k] = len(sub.inner)
+        alive = [True] * len(sub.edges)
         peel_to_truss(
             alive=alive,
-            sup=sup,
-            tri_e=tri.tri_e,
-            tri_alive=tri_alive,
-            edge_tris=tri.edge_tris,
+            sup=sub.sup,
+            tri_edges=sub.tri_edges,
+            tri_alive=[True] * len(sub.tids),
+            edge_tris=sub.edge_tris,
             threshold=k - 2,
+            seeds=sub.inner,
         )
-        # survivors form k-truss(G+)
-        ids = np.flatnonzero(alive)
-        promo = [int(e) for e in ids if e != e0 and trn_old[e] == k - 1]
+        if not alive[0]:  # local id 0 is e0; e0 ∉ k-truss(G+): no promotion at k or above
+            break
+        trn_new[e0] = k
+        promo = sorted(sub.edges[i] for i in sub.inner[1:] if alive[i])
         if promo:
             promoted[k] = promo
-            trn_new[np.asarray(promo)] = k
-        if alive[e0]:
-            trn_new[e0] = k
+            trn_new[promo] = k
     return trn_new, promoted
 
 
@@ -132,12 +225,13 @@ def _update_static_trussness(
 
 
 def _gas(
-    g: TemporalGraph,
-    est: np.ndarray,
+    tri: TriangleStore,
+    est: list[int],
+    mts: list[int],
     seeds: list[int],
     delta_minus: int,
     delta_plus: int,
-) -> tuple[list[int], list[int], list[int]]:
+) -> _Local:
     """Affected-subgraph search (Algorithm 1): BFS over triangles whose
     k-rank estimate is ≤ δ⁺, bounded below by δ⁻.
 
@@ -148,41 +242,30 @@ def _gas(
     change requires an affected triangle valid, i.e. a threshold ≥ δ⁻), so
     the branch terminates and their support is treated as ∞ in the sweep.
 
-    Returns (region edge ids, boundary edge ids, local triangle ids).
+    Returns the local subgraph; its ``inner`` edges are the region.
     """
-    tri = g.triangles()
-    region: set[int] = set()
-    boundary: set[int] = set()
-    tris: set[int] = set()
-    frontier = [e for e in seeds if delta_minus <= est[e] <= delta_plus]
-    region.update(frontier)
-    while frontier:
-        e = frontier.pop()
-        for tid in tri.edge_tris[e]:
-            if tid in tris or tri.mts[tid] > delta_plus:
-                continue
-            es = [int(x) for x in tri.tri_e[tid]]
-            if any(est[x] < 0 or est[x] > delta_plus for x in es):
-                continue
-            tris.add(tid)
-            for x in es:
-                if x in region or x in boundary:
-                    continue
-                if est[x] < delta_minus:
-                    boundary.add(x)  # support anchor; do not expand
-                else:
-                    region.add(x)
-                    frontier.append(x)
-    return sorted(region), sorted(boundary), sorted(tris)
+    tri_edges = tri.tri_edges
+
+    def tri_ok(tid: int) -> bool:
+        if mts[tid] > delta_plus:
+            return False
+        a, b, c = tri_edges[tid]
+        return (
+            0 <= est[a] <= delta_plus
+            and 0 <= est[b] <= delta_plus
+            and 0 <= est[c] <= delta_plus
+        )
+
+    return _grow(
+        tri,
+        [e for e in seeds if delta_minus <= est[e] <= delta_plus],
+        tri_ok,
+        lambda x: est[x] >= delta_minus,
+    )
 
 
 def _verify_sweep(
-    g: TemporalGraph,
-    k: int,
-    region: list[int],
-    boundary: list[int],
-    tids: list[int],
-    delta_minus: int,
+    sub: _Local, mts: list[int], k: int, delta_minus: int
 ) -> dict[int, int]:
     """decomph on the local subgraph: exact new k-spans of region edges.
 
@@ -193,31 +276,17 @@ def _verify_sweep(
     so T_{k,δ} is unchanged from G and cannot contain them — old region
     edges had old k-span ≥ δ⁻, promoted edges were not in T_k(G) at all).
     """
-    tri = g.triangles()
-    local = list(region) + list(boundary)
-    pos = {e: i for i, e in enumerate(local)}
-    n = len(local)
-    loc_tri = np.asarray(
-        [[pos[int(x)] for x in tri.tri_e[tid]] for tid in tids], dtype=np.int64
-    ).reshape(len(tids), 3)
-    loc_edge_tris: list[list[int]] = [[] for _ in range(n)]
-    for i, es in enumerate(loc_tri.tolist()):
-        for le in es:
-            loc_edge_tris[le].append(i)
-    tri_alive = np.ones(len(tids), dtype=bool)
-    sup = support(n, loc_tri, tri_alive)
-    sup[len(region):] = np.int64(1) << 40  # boundary: s[e'] ← ∞ (Alg. 1 line 22)
     span = decomph(
-        alive=np.ones(n, dtype=bool),
-        sup=sup,
-        tri_e=loc_tri,
-        mts=tri.mts[np.asarray(tids, dtype=np.int64)],
-        tri_alive=tri_alive,
-        edge_tris=loc_edge_tris,
+        alive=[True] * len(sub.edges),
+        sup=sub.sup,
+        tri_edges=sub.tri_edges,
+        mts=[mts[tid] for tid in sub.tids],
+        tri_alive=[True] * len(sub.tids),
+        edge_tris=sub.edge_tris,
         threshold=k - 2,
         stop=delta_minus,
     )
-    return dict(zip(region, span[: len(region)].tolist()))
+    return {sub.edges[i]: span[i] for i in sub.inner}
 
 
 # --------------------------------------------------------------------------
@@ -225,54 +294,42 @@ def _verify_sweep(
 # --------------------------------------------------------------------------
 
 
-def _lemma7_bounds(
-    g: TemporalGraph,
+def _lemma7_bound(
+    tri: TriangleStore,
+    mts: list[int],
     k: int,
-    trn_new: np.ndarray,
-    spans_old: np.ndarray,
+    trn_new: list[int],
+    spans_old: list[int],
     promoted: list[int],
-) -> dict[int, int]:
-    """δ̄(e) = max(t1, t2) per promoted edge at level k (Def. 12)."""
-    tri = g.triangles()
-    out: dict[int, int] = {}
+) -> int:
+    """max over the promoted edges of δ̄(e) = max(t1, t2) at level k (Def. 12)."""
+    bound = 0
     for e in promoted:
-        t1 = 0
-        t2 = 0
         for tid in tri.edge_tris[e]:
-            es = [int(x) for x in tri.tri_e[tid]]
-            if int(trn_new[es].min()) != k:
+            es = tri.tri_edges[tid]
+            if min(trn_new[x] for x in es) != k:
                 continue
-            t1 = max(t1, int(tri.mts[tid]))
+            bound = max(bound, mts[tid])
             for o in es:
-                if o != e and spans_old[o] >= 0:
-                    t2 = max(t2, int(spans_old[o]))
-        out[e] = max(t1, t2)
-    return out
+                if o != e:
+                    bound = max(bound, spans_old[o])
+    return bound
 
 
 def _e0_bound(
-    g: TemporalGraph, k: int, e0: int, trn_new: np.ndarray, est: np.ndarray
+    tri: TriangleStore, mts: list[int], k: int, e0: int, trn_new: list[int], est: list[int]
 ) -> int:
     """δ̄(e0): (k−2)-th smallest triangle activation (§VI-B.2).
 
     Activation of a triangle = max(mts, k-span estimates of its other
     edges) — the smallest δ at which the triangle can support e0.
     """
-    tri = g.triangles()
     acts = []
     for tid in tri.edge_tris[e0]:
-        es = [int(x) for x in tri.tri_e[tid]]
-        others = [o for o in es if o != e0]
-        if any(trn_new[o] < k for o in others):
+        a, b = (x for x in tri.tri_edges[tid] if x != e0)
+        if trn_new[a] < k or trn_new[b] < k or est[a] < 0 or est[b] < 0:
             continue
-        a = int(tri.mts[tid])
-        for o in others:
-            if est[o] < 0:
-                a = -1
-                break
-            a = max(a, int(est[o]))
-        if a >= 0:
-            acts.append(a)
+        acts.append(max(mts[tid], est[a], est[b]))
     need = max(1, k - 2)
     if len(acts) < need:
         # e0 ∈ k-truss(G+) gives it ≥ k−2 triangles inside the k-truss
@@ -311,34 +368,42 @@ def update_kspan_table(
         trn_old = np.append(table.trn, np.int64(2))
         for k in table.spans:
             table.spans[k] = np.append(table.spans[k], np.int64(-1))
-        trn_new, promoted = _update_static_trussness(g, trn_old, e0)
+        trn_new, promoted = _update_static_trussness(tri, trn_old, e0, stats)
         table.trn = trn_new
         new_kmax = max(table.kmax, int(trn_new.max()) if g.m else 2)
         for k in range(table.kmax + 1, new_kmax + 1):
             table.spans[k] = np.full(g.m, -1, dtype=np.int64)
         table.kmax = new_kmax
-        k_hi = int(trn_new[e0])
         changed_tids = list(delta["new_tris"])
     else:
         trn_new = table.trn
         promoted = {}
-        k_hi = int(trn_new[e0])
         changed_tids = [tid for tid, _old, _new in delta["changed"]]
+    k_hi = int(trn_new[e0])
 
     table.delta_max = int(tri.mts.max()) if tri.n else 0
     stats.k_range = (3, k_hi)
 
-    changed_old = {tid: old for tid, old, _new in delta.get("changed", [])}
+    changed_old = {tid: old for tid, old, _new in delta["changed"]}
+    # Python lists of the numpy state, made when a level first reads them,
+    # so an insertion that every filter rejects converts nothing
+    mts: list[int] | None = None
+    trn_l: list[int] | None = None
+    # μ(e) at every level comes from e's triangle mts in ascending order
+    mts_sorted: dict[int, list[int]] = {}
+
+    def mu(e: int, k: int) -> int:
+        ms = mts_sorted.get(e)
+        if ms is None:
+            ms = mts_sorted[e] = np.sort(tri.mts[tri.edge_tris[e]]).tolist()
+        return ms[k - 3] if len(ms) >= k - 2 else INF
 
     for k in range(3, k_hi + 1):
         spans_k = table.spans[k]
-        est = spans_k.astype(np.int64).copy()
-        promo_k = list(promoted.get(k, []))
-        if kind == "edge" and trn_new[e0] >= k:
-            promo_k_all = promo_k + [e0]
-        else:
-            promo_k_all = promo_k
+        promo_k = promoted.get(k, [])
+        promo_k_all = promo_k + [e0] if kind == "edge" and trn_new[e0] >= k else promo_k
         stats.promoted[k] = len(promo_k_all)
+        est: list[int] | None = None  # spans_k as a list once the level needs it
 
         # Lemma 7 provisional bounds. We take the *hull* B_k over the whole
         # promoted set plus e0: the upper-bound proof is a mutual fixpoint
@@ -347,14 +412,16 @@ def update_kspan_table(
         # bound — a per-edge bound would not dominate chains through other
         # promoted edges.
         if promo_k_all:
-            bound = 0
-            for b in _lemma7_bounds(g, k, trn_new, spans_k, promo_k).values():
-                bound = max(bound, b)
+            if mts is None:
+                mts = tri.mts.tolist()
+            if trn_l is None:
+                trn_l = trn_new.tolist()
+            est = spans_k.tolist()
+            bound = _lemma7_bound(tri, mts, k, trn_l, est, promo_k)
             if kind == "edge" and trn_new[e0] >= k:
-                est_tmp = est.copy()
                 for e in promo_k:
-                    est_tmp[e] = bound
-                bound = max(bound, _e0_bound(g, k, e0, trn_new, est_tmp))
+                    est[e] = bound
+                bound = max(bound, _e0_bound(tri, mts, k, e0, trn_l, est))
             for e in promo_k_all:
                 est[e] = bound
 
@@ -366,37 +433,35 @@ def update_kspan_table(
         #   edge's k-span (∆ can affect nothing while one of its edges is
         #   outside the truss). A triangle with δ⁻_∆ > δ⁺_∆ only ever adds
         #   support to edges that are already members — a no-op.
-        mu_cache: dict[int, int] = {}
-
-        def mu(e: int) -> int:
-            if e not in mu_cache:
-                ms = sorted(int(tri.mts[t_]) for t_ in tri.edge_tris[e])
-                mu_cache[e] = ms[k - 3] if len(ms) >= k - 2 else (1 << 40)
-            return mu_cache[e]
-
+        look = spans_k if est is None else est
         intervals: list[tuple[int, int]] = []
         seeds = [e0] + promo_k_all
         for tid in changed_tids:
-            es = [int(x) for x in tri.tri_e[tid]]
-            if any(est[x] < 0 for x in es):
+            es = tri.tri_edges[tid]
+            ests = [int(look[x]) for x in es]
+            if min(ests) < 0:
                 continue  # not inside the static k-truss of G+
-            delta_p = max(int(est[x]) for x in es)
+            delta_p = max(ests)
             m_new = int(tri.mts[tid])
             if kind == "ts" and not (changed_old[tid] >= delta_p > m_new):
                 continue  # Lemma 5: this triangle cannot affect level k
-            delta_m = max(m_new, max(mu(x) for x in es))
+            delta_m = max(m_new, max(mu(x, k) for x in es))
             if delta_m > delta_p:
                 continue  # fully-present only where all edges are members
             intervals.append((delta_m, delta_p))
             seeds.extend(es)
         if not intervals and not promo_k_all:
             continue  # level k fully filtered out
+        if est is None:
+            est = spans_k.tolist()
+        if mts is None:
+            mts = tri.mts.tolist()
 
         if promo_k:
             # promoted edges' verification range is not anchored to e0's
             # triangles, so collapse to the safe hull for this level
             lo = min([dm for dm, _ in intervals] or [0])
-            hi = max([dp for _, dp in intervals] + [int(est[e]) for e in promo_k_all])
+            hi = max([dp for _, dp in intervals] + [est[e] for e in promo_k_all])
             intervals = [(min(lo, hi), hi)]
         else:
             # merge overlapping intervals; e0's triangles all overlap at
@@ -415,12 +480,11 @@ def update_kspan_table(
         # descending order: est entries are refreshed between intervals, so
         # lower intervals see the already-verified upper-range k-spans
         for delta_minus, delta_plus in sorted(intervals, reverse=True):
-            region, boundary, tids = _gas(g, est, seeds, delta_minus, delta_plus)
-            if not region:
+            sub = _gas(tri, est, mts, seeds, delta_minus, delta_plus)
+            if not sub.inner:
                 continue
-            region_total += len(region)
-            new_span = _verify_sweep(g, k, region, boundary, tids, delta_minus)
-            for e, s in new_span.items():
+            region_total += len(sub.inner)
+            for e, s in _verify_sweep(sub, mts, k, delta_minus).items():
                 est[e] = s
                 if spans_k[e] != s:
                     spans_k[e] = s

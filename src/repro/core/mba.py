@@ -51,14 +51,14 @@ class _MbaState:
     def __init__(self, g: TemporalGraph):
         tri = g.triangles()
         all_ok = np.ones(tri.n, dtype=bool)
-        trn_arr = trussness(g.m, tri.tri_e, all_ok, tri.edge_tris)
+        trn_arr = trussness(g.m, tri, all_ok)
         lvl_arr = trn_arr[tri.tri_e].min(axis=1)
         at_lvl = trn_arr[tri.tri_e] == lvl_arr[:, None]
         self.m = g.m
         self.trn: list[int] = trn_arr.tolist()
         self.lvl: list[int] = lvl_arr.tolist()
         self.ks: list[int] = np.bincount(tri.tri_e[at_lvl], minlength=g.m).tolist()
-        self.tri_edges: list[tuple[int, int, int]] = list(zip(*tri.tri_e.T.tolist()))
+        self.tri_edges: list[tuple[int, int, int]] = tri.tri_edges
         self.edge_tris: list[list[int]] = tri.edge_tris
         self.tri_valid: list[bool] = [True] * tri.n
 

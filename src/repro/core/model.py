@@ -15,27 +15,40 @@ only), returning exactly the delta the dynamic-maintenance algorithm needs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import pandas as pd
 
 from ..triangles.mts import mts3, mts_batch
 
 
-@dataclass
 class TriangleStore:
     """Flat triangle list + inverted per-edge lists.
 
-    ``tri_e[t] = (e1, e2, e3)`` are edge ids of triangle t; ``mts[t]`` its
-    minimum time span; ``edge_tris[e]`` the ids of triangles containing e.
-    Appending (edge insertion) grows the arrays; mts updates (timestamp
-    insertion) mutate ``mts`` in place.
+    ``tri_e[t] = (e1, e2, e3)`` are edge ids of triangle t and
+    ``tri_edges[t]`` the same triple as a tuple; ``mts[t]`` its minimum time
+    span; ``edge_tris[e]`` the ids of triangles containing e. The numpy
+    arrays feed vectorized work (support counts, masks), the lists feed the
+    Python peeling loops, which read list entries much faster than numpy
+    scalars. Appending (edge insertion) grows all three in step; mts updates
+    (timestamp insertion) mutate ``mts`` in place.
+
+    ``tri_e`` and ``mts`` are views of the first ``n`` rows of buffers that
+    grow geometrically, so a stream of appends costs amortized O(1) each.
     """
 
-    tri_e: np.ndarray  # (T, 3) int64
-    mts: np.ndarray  # (T,) int64
-    edge_tris: list[list[int]] = field(default_factory=list)
+    def __init__(
+        self,
+        tri_e: np.ndarray,
+        mts: np.ndarray,
+        edge_tris: list[list[int]],
+        tri_edges: list[tuple[int, int, int]],
+    ):
+        self._tri_buf = tri_e
+        self._mts_buf = mts
+        self.tri_e = tri_e  # (T, 3) int64
+        self.mts = mts  # (T,) int64
+        self.edge_tris = edge_tris
+        self.tri_edges = tri_edges
 
     @classmethod
     def build(cls, tri_e: np.ndarray, mts: np.ndarray, m: int) -> "TriangleStore":
@@ -46,21 +59,45 @@ class TriangleStore:
         tids = list(map(tid_objs.__getitem__, np.argsort(flat, kind="stable") // 3))
         ends = np.cumsum(np.bincount(flat, minlength=m)).tolist()
         edge_tris = [tids[a:b] for a, b in zip([0] + ends[:-1], ends)]
-        return cls(tri_e, mts, edge_tris)
+        # every tuple holding edge e shares one int; one column at a time
+        # keeps the temporary ints of only one column alive
+        eid_objs = list(range(m))
+        cols = [list(map(eid_objs.__getitem__, col.tolist())) for col in tri_e.T]
+        return cls(tri_e, mts, edge_tris, list(zip(*cols)))
 
     @property
     def n(self) -> int:
-        return len(self.mts)
+        return len(self.tri_edges)
 
     def append(self, edges: tuple[int, int, int], m: int) -> int:
         tid = self.n
-        self.tri_e = np.vstack([self.tri_e, np.asarray(edges, dtype=np.int64)])
-        self.mts = np.append(self.mts, np.int64(m))
+        if tid == len(self._mts_buf):
+            cap = 2 * tid + 16
+            tri_buf = np.empty((cap, 3), dtype=np.int64)
+            mts_buf = np.empty(cap, dtype=np.int64)
+            tri_buf[:tid] = self.tri_e
+            mts_buf[:tid] = self.mts
+            self._tri_buf, self._mts_buf = tri_buf, mts_buf
+        self._tri_buf[tid] = edges
+        self._mts_buf[tid] = m
+        self.tri_e = self._tri_buf[: tid + 1]
+        self.mts = self._mts_buf[: tid + 1]
+        self.tri_edges.append(edges)
         for e in edges:
             while e >= len(self.edge_tris):
                 self.edge_tris.append([])
             self.edge_tris[e].append(tid)
         return tid
+
+    def copy(self) -> "TriangleStore":
+        """Independent store: arrays and ``edge_tris`` are copied, the
+        immutable ``tri_edges`` tuples are shared."""
+        return TriangleStore(
+            self.tri_e.copy(),
+            self.mts.copy(),
+            [list(x) for x in self.edge_tris],
+            list(self.tri_edges),
+        )
 
 
 class TemporalGraph:
@@ -89,11 +126,7 @@ class TemporalGraph:
     def copy(self) -> "TemporalGraph":
         g = TemporalGraph(list(self.edges), [t.copy() for t in self.times])
         if self._tri is not None:
-            g._tri = TriangleStore(
-                self._tri.tri_e.copy(),
-                self._tri.mts.copy(),
-                [list(x) for x in self._tri.edge_tris],
-            )
+            g._tri = self._tri.copy()
         return g
 
     # -- basic accessors ---------------------------------------------------
@@ -171,12 +204,13 @@ class TemporalGraph:
             self.times[e0] = np.insert(ts, pos, t)
             changed = []
             if self._tri is not None:
+                tri_edges, mts, times = self._tri.tri_edges, self._tri.mts, self.times
                 for tid in self._tri.edge_tris[e0]:
-                    e1, e2, e3 = (int(x) for x in self._tri.tri_e[tid])
-                    old = int(self._tri.mts[tid])
-                    new = mts3(self.times[e1], self.times[e2], self.times[e3])
+                    e1, e2, e3 = tri_edges[tid]
+                    old = int(mts[tid])
+                    new = mts3(times[e1], times[e2], times[e3])
                     if new != old:
-                        self._tri.mts[tid] = new
+                        mts[tid] = new
                         changed.append((tid, old, new))
             return {"kind": "ts", "eid": e0, "changed": changed, "new_tris": []}
         # edge insertion

@@ -29,18 +29,18 @@ def online_query(g: TemporalGraph, k: int, delta: float) -> set[tuple[int, int]]
         return set(g.edges)
     tri = g.triangles()
     tri_ok = tri.mts <= delta
-    alive = np.ones(g.m, dtype=bool)
-    tri_alive = tri_ok.copy()
-    sup = support(g.m, tri.tri_e, tri_ok)
+    sup_arr = support(g.m, tri.tri_e, tri_ok)
+    alive = [True] * g.m
     peel_to_truss(
         alive=alive,
-        sup=sup,
-        tri_e=tri.tri_e,
-        tri_alive=tri_alive,
+        sup=sup_arr.tolist(),
+        tri_edges=tri.tri_edges,
+        tri_alive=tri_ok.tolist(),
         edge_tris=tri.edge_tris,
         threshold=k - 2,
+        seeds=np.flatnonzero(sup_arr < k - 2).tolist(),
     )
-    return {g.edges[e] for e in np.flatnonzero(alive)}
+    return {e for e, a in zip(g.edges, alive) if a}
 
 
 def online_query_spark(

@@ -50,7 +50,7 @@ def dataset_stats(spark: SparkSession, flat_pdf: pd.DataFrame) -> dict:
     g = temporal_graph_from_spark(packed)  # Spark-enumerated triangles
     tri = g.triangles()
     out["tri"] = int(tri.n)
-    trn = trussness(g.m, tri.tri_e, np.ones(tri.n, bool), tri.edge_tris)
+    trn = trussness(g.m, tri, np.ones(tri.n, bool))
     out["kmax"] = int(trn.max()) if g.m else 2
     out["dmax"] = int(tri.mts.max()) if tri.n else 0
     return out

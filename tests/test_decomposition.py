@@ -21,7 +21,7 @@ def test_trussness_complete_graph(n):
     # every edge of K_n is in n−2 triangles → the whole graph is an n-truss
     g = TemporalGraph.from_flat(_complete_graph(n))
     tri = g.triangles()
-    trn = trussness(g.m, tri.tri_e, np.ones(tri.n, bool), tri.edge_tris)
+    trn = trussness(g.m, tri, np.ones(tri.n, bool))
     assert (trn == n).all()
 
 
@@ -29,7 +29,7 @@ def test_trussness_triangle_free():
     flat = pd.DataFrame({"u": [0, 1, 2, 3], "v": [1, 2, 3, 4], "t": [0, 0, 0, 0]})
     g = TemporalGraph.from_flat(flat)
     tri = g.triangles()
-    trn = trussness(g.m, tri.tri_e, np.ones(tri.n, bool), tri.edge_tris)
+    trn = trussness(g.m, tri, np.ones(tri.n, bool))
     assert (trn == 2).all()
 
 
@@ -38,7 +38,7 @@ def test_trussness_matches_brute(seed):
     flat = random_temporal_graph(n_vertices=13, n_edges=40, seed=seed)
     g = TemporalGraph.from_flat(flat)
     tri = g.triangles()
-    trn = trussness(g.m, tri.tri_e, np.ones(tri.n, bool), tri.edge_tris)
+    trn = trussness(g.m, tri, np.ones(tri.n, bool))
     brute = static_trussness(flat)
     for e, (u, v) in enumerate(g.edges):
         assert trn[e] == brute[(u, v)], (u, v)
@@ -52,7 +52,7 @@ def test_trussness_with_validity_mask_matches_brute_delta():
     g = TemporalGraph.from_flat(flat)
     tri = g.triangles()
     for delta in [0, 2, 5, 10, math.inf]:
-        trn = trussness(g.m, tri.tri_e, tri.mts <= delta, tri.edge_tris)
+        trn = trussness(g.m, tri, tri.mts <= delta)
         kmax = int(trn.max())
         for k in range(3, kmax + 2):
             expect = kd_truss(flat, k, delta)
@@ -81,5 +81,5 @@ def test_support_counts_valid_alive_only():
 def test_empty_graph():
     g = TemporalGraph.from_flat(pd.DataFrame({"u": [0], "v": [1], "t": [0]}))
     tri = g.triangles()
-    trn = trussness(g.m, tri.tri_e, np.ones(tri.n, bool), tri.edge_tris)
+    trn = trussness(g.m, tri, np.ones(tri.n, bool))
     assert list(trn) == [2]

@@ -54,6 +54,7 @@ def test_maintenance_job(monkeypatch, capsys):
         ["--sf", "0.2", "--datasets", "askubuntu", "--updates", "5"],
     )
     assert "speedup_tc" in out
+    assert "ts_tc_p90_s" in out and "edge_tc_p90_s" in out
 
 
 def test_query_bench_job(monkeypatch, capsys):

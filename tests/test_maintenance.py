@@ -3,6 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.decomposition import trussness
 from repro.core.kspan import KspanTable
 from repro.core.maintainers import DCMaintainer, TCMaintainer, rebuild_from_scratch
 from repro.core.maintenance import update_kspan_table
@@ -183,3 +184,66 @@ def test_maintainer_on_analog_stream():
         v = verts[int(rng.integers(0, len(verts)))]
         m.insert(u, v, int(rng.integers(0, 803)))
     _assert_equiv_rebuild(g, m.table)
+
+
+# -- dense cores and the local promotion search ---------------------------------
+
+
+def _hold_out(flat: pd.DataFrame, edges: set) -> tuple[pd.DataFrame, pd.DataFrame]:
+    """Split ``flat`` into (rows not on ``edges``, every row on ``edges``)."""
+    lo = np.minimum(flat["u"], flat["v"])
+    hi = np.maximum(flat["u"], flat["v"])
+    on = np.array([(a, b) in edges for a, b in zip(lo, hi)], dtype=bool)
+    return flat[~on], flat[on]
+
+
+def test_dense_core_reinsertion_matches_rebuild():
+    """Remove every row of four top-trussness edges of stackoverflow's dense
+    core, then reinsert them row by row: the edges come back promoted into
+    the core, and TC-IM and DC-IM both end equal to a rebuild."""
+    flat = analog("stackoverflow", sf=0.03, seed=7)
+    g_full = TemporalGraph.from_flat(flat)
+    trn = mba(g_full).trn
+    top = np.flatnonzero(trn == trn.max())
+    pick = np.random.default_rng(7).choice(top, size=4, replace=False)
+    rest, rows = _hold_out(flat, {g_full.edges[int(e)] for e in pick})
+    g = TemporalGraph.from_flat(rest)
+    g.triangles()
+    table = mba(g)
+    maintainers = [TCMaintainer(g.copy(), table), DCMaintainer(g.copy())]
+    promoted = 0  # existing edges whose static trussness rose
+    for u, v, t in rows.itertuples(index=False):
+        before = maintainers[0].table.trn.copy()
+        for m in maintainers:
+            m.insert(int(u), int(v), int(t))
+        promoted += int((maintainers[0].table.trn[: len(before)] > before).sum())
+    assert promoted > 0
+    for m in maintainers:
+        fresh_g = TemporalGraph(list(m.g.edges), [ts.copy() for ts in m.g.times])
+        fresh = mba(fresh_g)
+        assert span_map(m.table) == span_map(fresh)
+        tri = fresh_g.triangles()
+        assert np.array_equal(m.table.trn, trussness(fresh_g.m, tri, np.ones(tri.n, bool)))
+        for k in range(3, fresh.kmax + 1):
+            d = fresh.delta_max // 2
+            assert m.index.query(k, d) == fresh.truss_edges(k, d), k
+
+
+def test_promotion_candidates_stay_local():
+    """Edge insertions on an analog search candidate sets far smaller than
+    the graph — the dense core bounds the largest — and the result agrees
+    with a rebuild."""
+    flat = analog("mathoverflow", sf=0.5, seed=7)
+    held = np.random.default_rng(5).choice(len(flat), size=60, replace=False)
+    g = TemporalGraph.from_flat(flat.drop(flat.index[held]))
+    g.triangles()
+    table = mba(g)
+    sizes = []
+    for u, v, t in flat.iloc[held][["u", "v", "t"]].itertuples(index=False):
+        stats = update_kspan_table(g, table, int(u), int(v), int(t))
+        if stats.kind == "edge":
+            sizes.extend(stats.candidates.values())
+    assert len(sizes) > 20
+    assert max(sizes) * 10 < g.m
+    assert np.mean(sizes) * 100 < g.m
+    _assert_equiv_rebuild(g, table)

@@ -44,7 +44,7 @@ def test_maintained_trussness_equals_fresh_decomposition(seed):
     probes = sorted({int(m) for m in tri.mts} | {0})
     trace = mba_with_delta_trace(g, probes)
     for d, maintained in trace.items():
-        fresh = trussness(g.m, tri.tri_e, tri.mts <= d, tri.edge_tris)
+        fresh = trussness(g.m, tri, tri.mts <= d)
         assert np.array_equal(maintained, fresh), d
 
 

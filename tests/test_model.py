@@ -162,3 +162,54 @@ def test_copy_is_independent():
     g.insert(0, 1, 9)
     assert len(h.times[h.eid[(0, 1)]]) == 1
     assert h.triangles().n == 1
+
+
+def _assert_store_consistent(g: TemporalGraph) -> None:
+    """tri_e, tri_edges and mts agree with each other and with a fresh
+    enumeration, and edge_tris is the exact inverted index of tri_e."""
+    tri = g.triangles()
+    assert tri.tri_e.shape == (tri.n, 3) and tri.mts.shape == (tri.n,)
+    assert tri.tri_edges == [tuple(r) for r in tri.tri_e.tolist()]
+    inverted: list[list[int]] = [[] for _ in range(g.m)]
+    for tid, es in enumerate(tri.tri_edges):
+        for e in es:
+            inverted[e].append(tid)
+    assert tri.edge_tris == inverted
+    fresh = TemporalGraph(list(g.edges), [t.copy() for t in g.times])
+    assert _model_triangles(g) == _model_triangles(fresh)
+
+
+def _insert_stream(g: TemporalGraph, rng, n: int) -> list[str]:
+    verts = sorted(g.vertices)
+    kinds = []
+    for _ in range(n):
+        if rng.random() < 0.5:  # timestamp insertion on an existing edge
+            u, v = g.edges[int(rng.integers(0, g.m))]
+        else:
+            u, v = (verts[int(i)] for i in rng.integers(0, len(verts), size=2))
+        kinds.append(g.insert(u, v, int(rng.integers(0, 800)))["kind"])
+    return kinds
+
+
+def test_store_stays_consistent_under_mixed_stream_and_copy():
+    """Appends grow tri_e, mts, tri_edges and edge_tris in step; a copy taken
+    mid-stream is consistent and independent of the original."""
+    from repro.tgraph.generators import analog
+
+    g = TemporalGraph.from_flat(analog("email", sf=0.06, seed=4))
+    g.triangles()
+    rng = np.random.default_rng(3)
+    kinds = _insert_stream(g, rng, 40)
+    _assert_store_consistent(g)
+    h = g.copy()
+    tri = g.triangles()
+    snapshot = (tri.tri_e.copy(), tri.mts.copy(), list(tri.tri_edges),
+                [list(x) for x in tri.edge_tris])
+    kinds += _insert_stream(h, rng, 60)
+    assert kinds.count("ts") > 0 and kinds.count("edge") > 0
+    assert h.triangles().n > g.triangles().n  # the copy grew past its buffer
+    _assert_store_consistent(h)
+    _assert_store_consistent(g)
+    tri = g.triangles()
+    assert np.array_equal(tri.tri_e, snapshot[0]) and np.array_equal(tri.mts, snapshot[1])
+    assert tri.tri_edges == snapshot[2] and tri.edge_tris == snapshot[3]

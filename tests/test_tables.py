@@ -92,6 +92,11 @@ def test_maintenance_faster_than_rebuild():
     row = maintenance_times("email", sf=0.4, seed=7, n_updates=10, rebuilds=1)
     assert row["tc_im_s"] < row["rebuild_s"]
     assert row["dc_im_s"] < row["rebuild_s"]
+    # Fig. 16(b): the TC-IM distribution, split by insertion kind
+    assert row["ts_n"] + row["edge_n"] == row["updates"]
+    for kind in ("ts", "edge"):
+        if row[f"{kind}_n"]:
+            assert 0 < row[f"{kind}_tc_p50_s"] <= row[f"{kind}_tc_p90_s"]
 
 
 def test_default_params_track_paper():
