@@ -1,11 +1,8 @@
 """Query-latency harness (Figs. 10–13 shape): Online vs TC vs DC.
 
 Usage: python jobs/query_bench.py [--sf 1.0] [--datasets ...] [--sweep]
-[--spark]  (--spark additionally times the distributed Online-Query and the
-DataFrame-resident TC scan on the first dataset)
 """
 import argparse
-import time
 
 import pandas as pd
 
@@ -19,7 +16,6 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--datasets", type=str, default="")
     ap.add_argument("--sweep", action="store_true")
-    ap.add_argument("--spark", action="store_true")
     args = ap.parse_args()
     names = [d for d in args.datasets.split(",") if d] or sorted(DATASETS)
 
@@ -33,36 +29,6 @@ def main() -> None:
     if args.sweep:
         print("\n== Figs. 11–12 shape: sweeps on", names[0], "==")
         print(query_sweep(names[0], sf=args.sf, seed=args.seed).to_string(index=False, float_format=lambda x: f"{x:.3g}"))
-
-    if args.spark:
-        from repro.core.online import online_query_spark
-        from repro.core.spark_index import build_index_spark, tc_query_spark
-        from repro.sparkutil import get_session
-        from repro.tgraph.generators import analog
-        from repro.tgraph.schema import pack_flat
-        from repro.triangles.enumerate import enumerate_triangles
-
-        spark = get_session("query-bench")
-        flat = spark.createDataFrame(analog(names[0], sf=args.sf, seed=args.seed))
-        packed = pack_flat(flat).cache()
-        edges = packed.select("src", "dst").cache()
-        tris = enumerate_triangles(packed).cache()
-        tris.count()
-        table, index_df = build_index_spark(flat)
-        from repro.tables.perf import default_params
-
-        k, d = default_params(table)
-        t0 = time.perf_counter()
-        n_online = online_query_spark(edges, tris, k, d).count()
-        t_online = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        n_tc = tc_query_spark(index_df, edges, k, d).count()
-        t_tc = time.perf_counter() - t0
-        print(
-            f"\n== distributed path on {names[0]}: online_spark={t_online:.2f}s "
-            f"({n_online} edges) vs tc_scan={t_tc:.3f}s ({n_tc} edges) =="
-        )
-        spark.stop()
 
 
 if __name__ == "__main__":

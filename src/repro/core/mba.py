@@ -174,26 +174,3 @@ def mba(g: TemporalGraph) -> KspanTable:
         spans[k][zero] = 0
 
     return KspanTable(list(g.edges), static_trn, kmax, dmax, spans)
-
-
-def mba_with_delta_trace(
-    g: TemporalGraph, probe_deltas: list[int]
-) -> dict[int, np.ndarray]:
-    """For tests: the maintained trussness array right after each probe δ.
-
-    Returns {δ: trn_δ} where trn_δ counts only triangles with mts ≤ δ —
-    cross-checked against a fresh decomposition at each probe.
-    """
-    state = _MbaState(g)
-    probes = sorted(set(probe_deltas))  # ascending: pop the largest first
-    out: dict[int, np.ndarray] = {}
-
-    def on_group(d: int) -> OnDrop:
-        while probes and probes[-1] >= d:
-            out[probes.pop()] = np.asarray(state.trn, dtype=np.int64)
-        return lambda e, k: None
-
-    _sweep(state, g.triangles().mts, on_group)
-    for d in probes:
-        out[d] = np.asarray(state.trn, dtype=np.int64)
-    return out

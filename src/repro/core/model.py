@@ -190,8 +190,11 @@ class TemporalGraph:
 
         Returns a dict with keys: ``kind`` ('ts'|'edge'|'noop'), ``eid``,
         ``changed`` (list of (tid, old_mts, new_mts)) and ``new_tris``
-        (list of tids appended).
+        (list of tids appended). A non-integral or NaN ``t`` raises
+        ``ValueError`` and leaves the graph unchanged.
         """
+        if t % 1 != 0 or t != t:
+            raise ValueError(f"timestamp must be integral, got t={t!r}")
         if u == v:
             return {"kind": "noop", "eid": -1, "changed": [], "new_tris": []}
         a, b = (u, v) if u < v else (v, u)

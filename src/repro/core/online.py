@@ -68,9 +68,9 @@ def online_query_spark(
         .select("a", "b", "c")
         .localCheckpoint()
     )
+    n_alive = alive.count()
     for _ in range(max_rounds):
-        n_before = alive.count()
-        if n_before == 0:
+        if n_alive == 0:
             return alive
         e = alive
         t = (
@@ -93,13 +93,13 @@ def online_query_spark(
             .agg(F.count(F.lit(1)).alias("sup"))
         )
         keep = sup.where(F.col("sup") >= F.lit(k - 2)).select("src", "dst")
-        new_alive = alive.join(keep, ["src", "dst"], "left_semi").localCheckpoint()
-        n_after = new_alive.count()
-        alive = new_alive
+        alive = alive.join(keep, ["src", "dst"], "left_semi").localCheckpoint()
+        n_after = alive.count()
+        if n_after == n_alive:
+            return alive
+        n_alive = n_after
         # restrict the triangle relation to surviving edges for later rounds
         tri = t.join(
             keep.select(F.col("src").alias("a"), F.col("dst").alias("b")), ["a", "b"], "left_semi"
         ).localCheckpoint()
-        if n_after == n_before:
-            return alive
     raise RuntimeError("online_query_spark did not converge")

@@ -29,7 +29,7 @@ class _MapStructure:
     edge_ids: np.ndarray  # E_k as edge ids, k-span descending
     spans: np.ndarray  # k-span of each entry (same order, descending)
     uniq_spans_asc: list[int]  # distinct k-spans, ascending (for bisect)
-    offsets: dict[int, int]  # k-span -> offset of its first entry in E_k
+    offsets: list[int]  # offsets[i]: first entry in E_k with k-span uniq_spans_asc[i]
 
 
 def _build_map(spans_k: np.ndarray) -> _MapStructure:
@@ -40,15 +40,9 @@ def _build_map(spans_k: np.ndarray) -> _MapStructure:
     ids = ids[order]
     ids.setflags(write=False)  # query results are views of E_k
     spans = spans_k[ids]
-    uniq: list[int] = []
-    offsets: dict[int, int] = {}
-    for pos, sp in enumerate(spans):
-        sp = int(sp)
-        if sp not in offsets:
-            offsets[sp] = pos
-            uniq.append(sp)
-    uniq.reverse()  # ascending
-    return _MapStructure(ids, spans, uniq, offsets)
+    # spans is descending, so each value's first occurrence starts its run
+    uniq, offsets = np.unique(spans, return_index=True)
+    return _MapStructure(ids, spans, uniq.tolist(), offsets.tolist())
 
 
 class TCIndex:
@@ -91,7 +85,7 @@ class TCIndex:
         i = bisect.bisect_right(m.uniq_spans_asc, delta) - 1
         if i < 0:
             return np.zeros(0, dtype=np.int64)
-        return m.edge_ids[m.offsets[m.uniq_spans_asc[i]]:]
+        return m.edge_ids[m.offsets[i]:]
 
     def query(self, k: int, delta: float) -> set[tuple[int, int]]:
         return {self.edges[int(e)] for e in self.query_ids(k, delta)}

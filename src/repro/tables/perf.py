@@ -3,8 +3,8 @@
 Figures are out of scope; these produce the *numbers behind the shapes*:
 Online vs TC vs DC query latency (Figs. 10–13), DBA vs MBA construction
 time (Fig. 14), TC vs DC size under coarsened time granularity (Fig. 15),
-and per-insertion maintenance vs rebuild (Fig. 16). jobs/ and benchmarks/
-are thin wrappers around these.
+and per-insertion maintenance vs rebuild (Fig. 16). The jobs/ scripts are
+thin wrappers around these; perfbench/ is the timing harness.
 """
 from __future__ import annotations
 

@@ -19,11 +19,6 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-#: column names of the flat layout
-FLAT_COLS = ("u", "v", "t")
-#: column names of the packed layout
-PACKED_COLS = ("src", "dst", "ts")
-
 
 def normalize_flat_pdf(pdf: pd.DataFrame) -> pd.DataFrame:
     """Normalize a flat pandas frame: orient u<v, drop self-loops, dedup rows.
@@ -67,11 +62,15 @@ def pack_flat_pdf(pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray, list[np.nd
 
     Returns ``(src, dst, ts)``: the oriented static edges in ``(src, dst)``
     order and, per edge, its sorted distinct timestamps (views into one
-    int64 array).
+    int64 array). A float ``t`` column must hold only finite integral
+    values, or ``ValueError`` is raised; int columns are taken as they are.
     """
+    t = pdf["t"].to_numpy()
+    if t.dtype.kind == "f" and not (np.isfinite(t).all() and (t % 1 == 0).all()):
+        raise ValueError("the t column holds a non-integral or non-finite timestamp")
     u = pdf["u"].to_numpy(dtype=np.int64)
     v = pdf["v"].to_numpy(dtype=np.int64)
-    t = pdf["t"].to_numpy(dtype=np.int64)
+    t = t.astype(np.int64, copy=False)
     keep = u != v
     lo, hi, t = np.minimum(u, v)[keep], np.maximum(u, v)[keep], t[keep]
     order = np.lexsort((t, hi, lo))
@@ -85,9 +84,3 @@ def pack_flat_pdf(pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray, list[np.nd
     starts = np.flatnonzero(new_edge)
     bounds = starts.tolist() + [len(t)]
     return lo[starts], hi[starts], [t[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-def flat_pdf_to_packed_pdf(pdf: pd.DataFrame) -> pd.DataFrame:
-    """Packed pandas frame ``(src, dst, ts)`` with ``ts`` as lists of ints."""
-    src, dst, ts = pack_flat_pdf(pdf)
-    return pd.DataFrame({"src": src, "dst": dst, "ts": [x.tolist() for x in ts]})

@@ -11,7 +11,8 @@ from repro.tgraph.generators import (
     random_temporal_graph,
     triangle_rich_graph,
 )
-from repro.tgraph.schema import flat_pdf_to_packed_pdf, normalize_flat_pdf
+from repro.tgraph.schema import normalize_flat_pdf
+from tests.helpers import flat_pdf_to_packed_pdf
 
 
 def test_all_paper_datasets_have_specs():

@@ -1,8 +1,8 @@
 """Smoke tests for the jobs/ entrypoints (argparse + printing paths).
 
-Spark-session-creating jobs (table1, query_bench --spark) are exercised via
-their underlying harnesses in other tests — calling their main() here would
-getOrCreate-then-stop the session-scoped fixture's SparkSession.
+The Spark-session-creating job (table1) is exercised via its underlying
+harness in other tests — calling its main() here would getOrCreate-then-stop
+the session-scoped fixture's SparkSession.
 """
 import importlib.util
 import sys

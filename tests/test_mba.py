@@ -4,9 +4,10 @@ import pytest
 
 from repro.core.decomposition import trussness
 from repro.core.kspan import dba
-from repro.core.mba import mba, mba_with_delta_trace
+from repro.core.mba import mba
 from repro.core.model import TemporalGraph
 from repro.tgraph.generators import analog, random_temporal_graph, triangle_rich_graph
+from tests.helpers import mba_with_delta_trace
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -119,6 +119,45 @@ def test_insert_noop():
     assert g.insert(3, 3, 1)["kind"] == "noop"
 
 
+@pytest.mark.parametrize("t", [3.5, float("nan"), float("inf")])
+def test_insert_rejects_non_integral_timestamp(t):
+    """A fractional or NaN t would land truncated in τ (3.5 next to 3 makes
+    τ = [3, 3]); it is rejected and the graph, store included, is unchanged."""
+    g = TemporalGraph.from_flat(pd.DataFrame({"u": [0, 1, 0], "v": [1, 2, 2], "t": [3, 5, 9]}))
+    tri = g.triangles()
+    before = (list(g.edges), [ts.tolist() for ts in g.times], tri.n, tri.mts.tolist())
+    for u, v in ((0, 1), (1, 3), (2, 2)):  # timestamp, edge and self-loop insertion
+        with pytest.raises(ValueError):
+            g.insert(u, v, t)
+    tri = g.triangles()
+    assert (list(g.edges), [ts.tolist() for ts in g.times], tri.n, tri.mts.tolist()) == before
+
+
+def test_insert_accepts_integral_float_and_numpy_int():
+    g = TemporalGraph.from_flat(pd.DataFrame({"u": [0], "v": [1], "t": [3]}))
+    assert g.insert(0, 1, 4.0)["kind"] == "ts"
+    assert g.insert(0, 1, np.int64(6))["kind"] == "ts"
+    assert g.insert(1, 2, np.int32(2))["kind"] == "edge"
+    assert [ts.tolist() for ts in g.times] == [[3, 4, 6], [2]]
+
+
+@pytest.mark.parametrize("bad", [3.7, float("nan"), float("inf")])
+def test_from_flat_rejects_non_integral_timestamps(bad):
+    flat = pd.DataFrame({"u": [0, 1], "v": [1, 2], "t": [2.0, bad]})
+    with pytest.raises(ValueError):
+        TemporalGraph.from_flat(flat)
+
+
+def test_from_flat_accepts_integral_float_and_int32_timestamps():
+    as_float = pd.DataFrame({"u": [0, 1, 0], "v": [1, 2, 1], "t": [7.0, 2.0, 2.0]})
+    as_int32 = as_float.astype({"t": np.int32})
+    for flat in (as_float, as_int32):
+        g = TemporalGraph.from_flat(flat)
+        assert g.edges == [(0, 1), (1, 2)]
+        assert [ts.tolist() for ts in g.times] == [[2, 7], [2]]
+        assert all(ts.dtype == np.int64 for ts in g.times)
+
+
 def test_insert_timestamp_updates_mts():
     flat = pd.DataFrame({"u": [0, 1, 0], "v": [1, 2, 2], "t": [0, 50, 100]})
     g = TemporalGraph.from_flat(flat)

@@ -7,9 +7,10 @@ from pyspark.sql import functions as F
 
 from repro.oracle import assert_equivalent
 from repro.tgraph.generators import random_temporal_graph
-from repro.tgraph.schema import flat_pdf_to_packed_pdf, pack_flat
+from repro.tgraph.schema import pack_flat
 from repro.triangles.brute import triangles_with_mts
 from repro.triangles.enumerate import enumerate_triangles
+from tests.helpers import flat_pdf_to_packed_pdf
 
 
 @pytest.mark.parametrize("seed", range(4))

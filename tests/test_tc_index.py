@@ -36,7 +36,9 @@ def test_sequences_sorted_descending():
     for k, m in idx.maps.items():
         assert (np.diff(m.spans) <= 0).all(), k
         # D_k offsets point at the first edge of each span value
-        for sp, off in m.offsets.items():
+        assert m.uniq_spans_asc == sorted(set(m.spans.tolist()))
+        assert len(m.offsets) == len(m.uniq_spans_asc)
+        for sp, off in zip(m.uniq_spans_asc, m.offsets):
             assert m.spans[off] == sp
             assert off == 0 or m.spans[off - 1] > sp
 
