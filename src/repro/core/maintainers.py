@@ -2,15 +2,17 @@
 
 Each maintainer owns the graph, the k-span table, and one index structure.
 ``insert`` runs the filter-and-verification update on the table and then
-patches the index:
+patches the index, acting only when some k-span changed:
 
-* **TC-IM** rebuilds only the I_k maps whose level was touched ("changing
-  the positions of the edges" at per-level granularity);
-* **DC-IM** additionally re-derives the arborescence/tree from the patched
-  table — the "additional structural adjustments" the paper cites for
-  DC-Index being slightly slower to maintain. The re-derivation is the
-  vectorized ``DCIndex`` build (numpy over the (k, δ) grid, no per-edge
-  loop); it still redoes every lookup row, not only the changed ones.
+* **TC-IM** rebuilds the I_k maps of the levels whose k-spans changed, plus
+  any new level ("changing the positions of the edges" at per-level
+  granularity);
+* **DC-IM** re-derives the arborescence/tree from the patched table — the
+  "additional structural adjustments" the paper cites for DC-Index being
+  slightly slower to maintain — when some k-span changed or kmax / δmax
+  moved. The re-derivation is the full ``DCIndex`` build: numpy over the
+  (k, δ) grid and one sort of the payload entries, with no per-edge loop
+  and no node objects.
   No triangle or peeling work is redone in either case; that is what the
   rebuild baseline (MBA from scratch) pays per update.
 """
@@ -35,7 +37,7 @@ class TCMaintainer:
     def insert(self, u: int, v: int, t: int) -> MaintenanceStats:
         stats = update_kspan_table(self.g, self.table, u, v, t)
         if stats.kind != "noop":
-            self.index.refresh(self.table, stats.touched_ks)
+            self.index.refresh(self.table, stats.changed_ks)
         return stats
 
 
@@ -49,8 +51,9 @@ class DCMaintainer:
 
     def insert(self, u: int, v: int, t: int) -> MaintenanceStats:
         stats = update_kspan_table(self.g, self.table, u, v, t)
-        if stats.kind != "noop" and (stats.touched_ks or stats.kind == "edge"):
-            self.index = DCIndex(self.table)  # structural re-derivation
+        idx, table = self.index, self.table
+        if stats.changed_ks or (idx.kmax, idx.delta_max) != (table.kmax, table.delta_max):
+            self.index = DCIndex(table)  # structural re-derivation
         return stats
 
 

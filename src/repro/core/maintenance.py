@@ -80,6 +80,11 @@ class MaintenanceStats:
     promoted: dict[int, int] = field(default_factory=dict)  # k -> #promoted edges
     candidates: dict[int, int] = field(default_factory=dict)  # k -> promotion candidate set size
 
+    @property
+    def changed_ks(self) -> list[int]:
+        """The levels on which some k-span changed, a subset of ``touched_ks``."""
+        return [k for k, n in self.changed.items() if n]
+
 
 # --------------------------------------------------------------------------
 # local subgraphs: the BFS shared by promotion search and GAS

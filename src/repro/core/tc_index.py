@@ -56,8 +56,8 @@ class TCIndex:
             k: _build_map(table.spans[k]) for k in range(3, table.kmax + 1)
         }
 
-    def refresh(self, table: KspanTable, touched_ks: list[int]) -> None:
-        """§VI index update: re-place edges of the maps whose k changed.
+    def refresh(self, table: KspanTable, changed_ks: list[int]) -> None:
+        """§VI index update: re-place edges of the maps whose k-spans changed.
 
         The k-span table has already been patched by
         :func:`repro.core.maintenance.update_kspan_table`; only the listed
@@ -67,7 +67,7 @@ class TCIndex:
         new_levels = list(range(self.kmax + 1, table.kmax + 1))
         self.kmax = table.kmax
         self.delta_max = table.delta_max
-        for k in set(touched_ks) | set(new_levels):
+        for k in set(changed_ks) | set(new_levels):
             self.maps[k] = _build_map(table.spans[k])
 
     # -- query ---------------------------------------------------------------

@@ -139,13 +139,13 @@ def maintenance_times(
     name: str, *, sf: float = 1.0, seed: int = 7, n_updates: int = 50, rebuilds: int = 3
 ) -> dict:
     """Fig. 16 row: avg per-insertion TC-IM / DC-IM vs rebuild-from-scratch,
-    plus the TC-IM latency distribution per insertion kind.
+    plus both latency distributions per insertion kind.
 
     Workload as in the paper: remove ``n_updates`` random temporal edges
     from the analog, build the index on the remainder, then time the
     reinsertions. Fig. 16(b) is a distribution, so for timestamp (``ts``)
     and edge insertions separately the row also carries the count and the
-    TC-IM p50/p90 (``{kind}_n``, ``{kind}_tc_p50_s``, ``{kind}_tc_p90_s``;
+    p50/p90 of each maintainer (``{kind}_n``, ``{kind}_{tc,dc}_p{50,90}_s``;
     NaN latencies when the stream holds no insertion of that kind).
     """
     flat = analog(name, sf=sf, seed=seed)
@@ -181,8 +181,9 @@ def maintenance_times(
         "rebuild_s": rebuild_s,
     }
     for kind in ("ts", "edge"):
-        sel = [x for x, k in zip(tc_lat, kinds) if k == kind]
-        row[f"{kind}_n"] = len(sel)
-        for q in (50, 90):
-            row[f"{kind}_tc_p{q}_s"] = float(np.percentile(sel, q)) if sel else math.nan
+        row[f"{kind}_n"] = kinds.count(kind)
+        for im, lat in (("tc", tc_lat), ("dc", dc_lat)):
+            sel = [x for x, k in zip(lat, kinds) if k == kind]
+            for q in (50, 90):
+                row[f"{kind}_{im}_p{q}_s"] = float(np.percentile(sel, q)) if sel else math.nan
     return row

@@ -46,12 +46,20 @@ def pack_flat(flat: DataFrame) -> DataFrame:
 
     Pure DataFrame ops so Catalyst plans the whole normalization: orient,
     filter self-loops, and aggregate timestamps with ``sort_array(collect_set)``.
+    A null, non-finite or non-integral ``t`` fails the job that first reads
+    the frame (as :func:`pack_flat_pdf` raises ``ValueError``): the check
+    sits in the projection, so it costs no job of its own.
     """
     lo = F.least("u", "v").alias("src")
     hi = F.greatest("u", "v").alias("dst")
+    t = F.col("t")
+    # t − floor(t) is NaN for ±inf and NaN, and non-zero for a fraction
+    bad = t.isNull() | (t - F.floor(t) != 0)
+    msg = F.lit("the t column holds a null, non-integral or non-finite timestamp")
+    t_long = F.when(bad, F.raise_error(msg)).otherwise(t.cast("long")).alias("t")
     return (
         flat.where(F.col("u") != F.col("v"))
-        .select(lo, hi, F.col("t").cast("long").alias("t"))
+        .select(lo, hi, t_long)
         .groupBy("src", "dst")
         .agg(F.sort_array(F.collect_set("t")).alias("ts"))
     )

@@ -2,9 +2,11 @@
 import numpy as np
 import pandas as pd
 
+from repro.core.dc_index import DCIndex
 from repro.core.kspan import KspanTable
 from repro.core.mba import OnDrop, _MbaState, _sweep
 from repro.core.model import TemporalGraph
+from repro.core.tc_index import TCIndex
 from repro.tgraph.schema import pack_flat_pdf
 
 
@@ -51,3 +53,37 @@ def flat_pdf_to_packed_pdf(pdf: pd.DataFrame) -> pd.DataFrame:
     """Packed pandas frame ``(src, dst, ts)`` with ``ts`` as lists of ints."""
     src, dst, ts = pack_flat_pdf(pdf)
     return pd.DataFrame({"src": src, "dst": dst, "ts": [x.tolist() for x in ts]})
+
+
+def hold_out(flat: pd.DataFrame, edges: set) -> tuple[pd.DataFrame, pd.DataFrame]:
+    """Split ``flat`` into (rows not on ``edges``, every row on ``edges``)."""
+    lo = np.minimum(flat["u"], flat["v"])
+    hi = np.maximum(flat["u"], flat["v"])
+    on = np.array([(a, b) in edges for a, b in zip(lo, hi)], dtype=bool)
+    return flat[~on], flat[on]
+
+
+def assert_same_tree(got: DCIndex, want: DCIndex) -> None:
+    """Node keys and order, parents, payloads (values, dtype, read-only),
+    lookup rows, root, kmax, δmax and the Table II figures all agree."""
+    assert (got.root, got.kmax, got.delta_max) == (want.root, want.kmax, want.delta_max)
+    assert list(got.nodes) == list(want.nodes)
+    for key, node in want.nodes.items():
+        mine = got.nodes[key]
+        assert mine.parent == node.parent, key
+        assert mine.edge_ids.dtype == node.edge_ids.dtype, key
+        assert np.array_equal(mine.edge_ids, node.edge_ids), key
+        assert not mine.edge_ids.flags.writeable, key
+    assert got.rows == want.rows
+    assert got.total_edges() == want.total_edges()
+    assert got.space_bytes() == want.space_bytes()
+
+
+def assert_same_maps(got: TCIndex, want: TCIndex) -> None:
+    """Every I_k = (E_k, D_k) agrees, and so do kmax and δmax."""
+    assert (got.kmax, got.delta_max) == (want.kmax, want.delta_max)
+    assert sorted(got.maps) == sorted(want.maps)
+    for k, m in want.maps.items():
+        mine = got.maps[k]
+        assert np.array_equal(mine.edge_ids, m.edge_ids), k
+        assert (mine.uniq_spans_asc, mine.offsets) == (m.uniq_spans_asc, m.offsets), k

@@ -53,8 +53,9 @@ def test_maintenance_job(monkeypatch, capsys):
         monkeypatch, capsys, "maintenance_bench",
         ["--sf", "0.2", "--datasets", "askubuntu", "--updates", "5"],
     )
-    assert "speedup_tc" in out
+    assert "speedup_tc" in out and "dc_tc_ratio" in out
     assert "ts_tc_p90_s" in out and "edge_tc_p90_s" in out
+    assert "ts_dc_p90_s" in out and "edge_dc_p90_s" in out
 
 
 def test_query_bench_job(monkeypatch, capsys):

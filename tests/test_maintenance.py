@@ -3,6 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.dc_index import DCIndex
 from repro.core.decomposition import trussness
 from repro.core.kspan import KspanTable
 from repro.core.maintainers import DCMaintainer, TCMaintainer, rebuild_from_scratch
@@ -10,13 +11,14 @@ from repro.core.maintenance import update_kspan_table
 from repro.core.mba import mba
 from repro.core.model import TemporalGraph
 from repro.core.online import online_query
+from repro.core.tc_index import TCIndex
 from repro.tgraph.generators import (
     analog,
     random_temporal_graph,
     triangle_rich_graph,
 )
 
-from tests.helpers import span_map
+from tests.helpers import assert_same_maps, assert_same_tree, hold_out, span_map
 
 
 def _assert_equiv_rebuild(g: TemporalGraph, table: KspanTable):
@@ -189,34 +191,29 @@ def test_maintainer_on_analog_stream():
 # -- dense cores and the local promotion search ---------------------------------
 
 
-def _hold_out(flat: pd.DataFrame, edges: set) -> tuple[pd.DataFrame, pd.DataFrame]:
-    """Split ``flat`` into (rows not on ``edges``, every row on ``edges``)."""
-    lo = np.minimum(flat["u"], flat["v"])
-    hi = np.maximum(flat["u"], flat["v"])
-    on = np.array([(a, b) in edges for a, b in zip(lo, hi)], dtype=bool)
-    return flat[~on], flat[on]
-
-
 def test_dense_core_reinsertion_matches_rebuild():
     """Remove every row of four top-trussness edges of stackoverflow's dense
     core, then reinsert them row by row: the edges come back promoted into
-    the core, and TC-IM and DC-IM both end equal to a rebuild."""
+    the core, TC-IM's maps and DC-IM's tree equal fresh builds after every
+    row, and both tables end equal to a rebuild."""
     flat = analog("stackoverflow", sf=0.03, seed=7)
     g_full = TemporalGraph.from_flat(flat)
     trn = mba(g_full).trn
     top = np.flatnonzero(trn == trn.max())
     pick = np.random.default_rng(7).choice(top, size=4, replace=False)
-    rest, rows = _hold_out(flat, {g_full.edges[int(e)] for e in pick})
+    rest, rows = hold_out(flat, {g_full.edges[int(e)] for e in pick})
     g = TemporalGraph.from_flat(rest)
     g.triangles()
     table = mba(g)
-    maintainers = [TCMaintainer(g.copy(), table), DCMaintainer(g.copy())]
+    tcm, dcm = maintainers = [TCMaintainer(g.copy(), table), DCMaintainer(g.copy())]
     promoted = 0  # existing edges whose static trussness rose
     for u, v, t in rows.itertuples(index=False):
-        before = maintainers[0].table.trn.copy()
+        before = tcm.table.trn.copy()
         for m in maintainers:
             m.insert(int(u), int(v), int(t))
-        promoted += int((maintainers[0].table.trn[: len(before)] > before).sum())
+        promoted += int((tcm.table.trn[: len(before)] > before).sum())
+        assert_same_maps(tcm.index, TCIndex(tcm.table))
+        assert_same_tree(dcm.index, DCIndex(dcm.table))
     assert promoted > 0
     for m in maintainers:
         fresh_g = TemporalGraph(list(m.g.edges), [ts.copy() for ts in m.g.times])

@@ -1,6 +1,7 @@
 """Spark triangle enumeration + mts vs DuckDB oracle and brute force."""
 import math
 
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -79,3 +80,19 @@ def test_pack_flat_normalizes(spark):
     assert len(packed) == 1  # self-loop dropped, duplicate merged
     assert packed[0]["src"] == 1 and packed[0]["dst"] == 2
     assert list(packed[0]["ts"]) == [5]
+
+
+@pytest.mark.parametrize("bad", [3.7, float("nan"), float("inf")])
+def test_pack_flat_rejects_non_integral_timestamps(spark, bad):
+    """Mirrors the local packer: the job reading the frame fails."""
+    flat = spark.createDataFrame(pd.DataFrame({"u": [0, 1], "v": [1, 2], "t": [2.0, bad]}))
+    with pytest.raises(Exception, match="non-integral or non-finite timestamp"):
+        pack_flat(flat).collect()
+
+
+def test_pack_flat_accepts_integral_float_and_int32_timestamps(spark):
+    as_float = pd.DataFrame({"u": [0, 1, 0], "v": [1, 2, 1], "t": [7.0, 2.0, 2.0]})
+    as_int32 = as_float.astype({"t": np.int32})
+    for flat in (as_float, as_int32):
+        packed = pack_flat(spark.createDataFrame(flat)).orderBy("src", "dst").collect()
+        assert [(r["src"], r["dst"], list(r["ts"])) for r in packed] == [(0, 1, [2, 7]), (1, 2, [2])]
