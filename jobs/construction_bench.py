@@ -1,4 +1,5 @@
-"""Index-construction harness (Fig. 14 shape): DBA vs MBA per dataset.
+"""Index-construction harness (Fig. 14 shape): DBA vs MBA per dataset, both
+on one core, and MBA with its level bands on every core.
 
 Usage: python jobs/construction_bench.py [--sf 1.0] [--datasets ...]
 """
@@ -19,6 +20,7 @@ def main() -> None:
     names = [d for d in args.datasets.split(",") if d] or sorted(DATASETS)
     df = pd.DataFrame([construction_times(n, sf=args.sf, seed=args.seed) for n in names])
     df["mba_speedup"] = df["dba_s"] / df["mba_s"]
+    df["par_speedup"] = df["mba_s"] / df["mba_par_s"]
     print("== Fig. 14 shape: construction time (s) ==")
     print(df.to_string(index=False, float_format=lambda x: f"{x:.3g}"))
 

@@ -81,8 +81,8 @@ class KspanTable:
 def check_query(k, delta) -> None:
     """Reject a (k, δ) query with a non-integral (or infinite) k or a NaN δ.
 
-    Ints, numpy ints and ``math.inf`` for δ pass; both indexes call this
-    first, so it stays at two comparisons.
+    Ints, numpy ints and ``math.inf`` for δ pass; both indexes and both
+    Online-Queries call this first, so it stays at two comparisons.
     """
     if k % 1 != 0 or delta != delta:
         raise ValueError(f"query needs an integral k and a non-NaN δ, got k={k!r}, δ={delta!r}")

@@ -6,7 +6,8 @@ simultaneously (Lemmas 1–3), and each unit decrease of trussness k → k−1
 while invalidating the mts = d triangles is exactly the statement
 "e ∈ H-IES between T_{k,d} and T_{k,d−1}", i.e. k-spn_k(e) = d (Lemma 4).
 So MBA produces the complete k-span table — and hence both TC-Index and
-DC-Index — while touching each triangle exactly once (vs once per k in DBA).
+DC-Index — while touching each triangle once per level band (vs once per k
+in DBA).
 
 Maintained invariant (the paper's trick): for every edge e,
 
@@ -22,6 +23,39 @@ that re-checks dropped edges at their new level — so even multi-level
 settles (which Lemma 1 rules out per single invalidation, but which cost
 nothing to support) are handled exactly.
 
+**Level bands** (an engineering addition, not in the paper). The sweep is
+sequential, but the levels split into contiguous bands [lo, hi] ⊆ [3, kmax]
+that are swept independently, one per core. A band's state caps trussness
+at ``hi``, starts with the triangles of static level < lo invalid, and stops
+every edge at a floor of lo − 1; its drops give exactly the k-spans of
+levels lo..hi, because:
+
+(i) for k ≥ lo, T_{k,δ} ⊆ T_k ⊆ T_lo (the static lo-truss), and whether an
+    edge is in T_{k,δ} depends only on triangles inside T_lo, i.e. those of
+    static level ≥ lo. Triangles of lower level are never counted by an edge
+    at a level ≥ lo (Lemma 2), so marking them invalid up front changes no
+    level ≥ lo.
+(ii) capping at ``hi`` is MBA with all levels above hi merged into one: the
+    capped values are min(trn_δ, hi), the ks invariant holds for them (an
+    edge at hi needs hi − 2 valid triangles of level hi, its support in the
+    static hi-truss restricted to valid triangles), and a drop k_old → k_old
+    − 1 with k_old ≤ hi happens at the same δ as without the cap.
+(iii) an edge that reaches lo − 1 is outside T_{lo,δ} for the current δ and
+    hence for every smaller δ; its triangles have L ≤ lo − 1, so it never
+    again counts towards an edge at a level ≥ lo and need not drop further.
+    The default band [3, kmax] has floor 2: it is the paper's single sweep.
+
+Bands are cut so that each holds about the same estimated work w(k) =
+Σ_{trn(e) ≥ k} |edge_tris(e)| (every edge that passes level k scans its
+triangle list there), with fewer bands when the work would not repay a
+fork. The parent process sweeps the first band and ``os.fork``s one child
+per further band; a child reads the parent's graph copy-on-write, so
+nothing is pickled on the way in, and sends its span rows back through a
+pipe. Each process is first moved to a CPU of its own (:func:`_place`),
+and once the children are reaped the parent takes back write access to its
+resident memory in one batch (:func:`_own_memory`), which the forks had
+revoked page by page.
+
 Implementation note: the sweep runs millions of tiny operations, so the
 mutable state lives in plain Python lists/tuples — numpy scalar indexing in
 this hot loop makes MBA slower than DBA, inverting the paper's Fig. 14. The
@@ -34,6 +68,11 @@ visited also marks it as seen.
 """
 from __future__ import annotations
 
+import ctypes
+import gc
+import os
+import signal
+import traceback
 from typing import Callable
 
 import numpy as np
@@ -44,23 +83,39 @@ from .model import TemporalGraph
 
 OnDrop = Callable[[int, int], None]
 
+# Least estimated work (Σ w(k), in triangle-list entries) per band before
+# MBA forks a process for it. Measured on a 4-core VM: the sweep reads
+# ≈0.25–0.35 µs per unit, fork + exit + reap costs the parent ≈8 ms at
+# 250 MB RSS, and a child's state setup ≈15–25 ms more; so a band of this
+# size (≈30 ms) repays its fork, and hypothesis-sized graphs (≤ 10⁴) never fork.
+MIN_BAND_WORK = 100_000
+
 
 class _MbaState:
-    """Mutable state of the δ-sweep: trussness, ks counters, levels, validity."""
+    """Mutable state of the δ-sweep over levels [lo, hi]: trussness capped at
+    ``hi``, ks counters, levels, validity, and the band's triangle ids."""
 
-    def __init__(self, g: TemporalGraph):
+    def __init__(self, g: TemporalGraph, trn: np.ndarray | None = None, lo: int = 3,
+                 hi: int | None = None):
         tri = g.triangles()
-        all_ok = np.ones(tri.n, dtype=bool)
-        trn_arr = trussness(g.m, tri, all_ok)
-        lvl_arr = trn_arr[tri.tri_e].min(axis=1)
-        at_lvl = trn_arr[tri.tri_e] == lvl_arr[:, None]
+        if trn is None:
+            trn = trussness(g.m, tri, np.ones(tri.n, dtype=bool))
+        if hi is None:
+            hi = int(trn.max()) if g.m else 2
+        trn_arr = np.minimum(trn, hi)
+        tri_trn = trn_arr[tri.tri_e]
+        lvl_arr = tri_trn.min(axis=1)
+        valid = lvl_arr >= lo
+        at_lvl = (tri_trn == lvl_arr[:, None]) & valid[:, None]
         self.m = g.m
+        self.floor = lo - 1
         self.trn: list[int] = trn_arr.tolist()
         self.lvl: list[int] = lvl_arr.tolist()
         self.ks: list[int] = np.bincount(tri.tri_e[at_lvl], minlength=g.m).tolist()
         self.tri_edges: list[tuple[int, int, int]] = tri.tri_edges
         self.edge_tris: list[list[int]] = tri.edge_tris
-        self.tri_valid: list[bool] = [True] * tri.n
+        self.tri_valid: list[bool] = valid.tolist()
+        self.tids: np.ndarray = np.flatnonzero(valid)
 
     def recount(self, e: int) -> int:
         """Recompute ks(e) from scratch at e's current level."""
@@ -73,16 +128,17 @@ class _MbaState:
         return cnt
 
     def settle(self, pending: list[int], on_drop: OnDrop) -> None:
-        """Drain edges whose ks may violate ks ≥ trn−2; drop levels until stable.
+        """Drain edges whose ks may violate ks ≥ trn−2; drop levels until
+        stable, but never below the floor.
 
         ``on_drop(e, k_old)`` is called for every unit decrease k_old → k_old−1.
         """
-        trn, ks, lvl = self.trn, self.ks, self.lvl
+        trn, ks, lvl, floor = self.trn, self.ks, self.lvl, self.floor
         tri_edges, tri_valid, edge_tris = self.tri_edges, self.tri_valid, self.edge_tris
         while pending:
             e0 = pending.pop()
             k = trn[e0]
-            if ks[e0] >= k - 2 or k <= 2:
+            if ks[e0] >= k - 2 or k <= floor:
                 continue
             # BFS the full drop set at level k reachable from e0 (Lemma 3 ii).
             # A visited triangle holds a dropped edge, so its level becomes
@@ -108,7 +164,7 @@ class _MbaState:
                 on_drop(e, k)
             for e in drop:
                 ks[e] = self.recount(e)
-                if ks[e] < trn[e] - 2 and trn[e] > 2:
+                if ks[e] < trn[e] - 2 and trn[e] > floor:
                     pending.append(e)  # Lemma 1 says unreachable; exact anyway
 
     def invalidate(self, tid: int, on_drop: OnDrop) -> None:
@@ -129,18 +185,19 @@ class _MbaState:
 
 
 def _sweep(state: _MbaState, mts: np.ndarray, on_group: Callable[[int], OnDrop]) -> None:
-    """Invalidate every triangle with mts > 0, in groups of descending mts.
+    """Invalidate the state's triangles with mts > 0, in groups of descending mts.
 
     ``on_group(d)`` runs before the group with mts = d is invalidated, when
     the maintained trussness is the δ-trussness for every δ from d up to
     the previous group's mts; it returns the ``on_drop`` callback for the
     group. Triangles with mts = 0 stay valid in every (k, δ)-truss.
     """
-    order = np.argsort(-mts, kind="stable")
+    tids = state.tids[mts[state.tids] > 0]
+    order = tids[np.argsort(-mts[tids], kind="stable")]
     mts_sorted = mts[order].tolist()
     tids_sorted = order.tolist()
     i, n = 0, len(tids_sorted)
-    while i < n and mts_sorted[i] > 0:
+    while i < n:
         d = mts_sorted[i]
         on_drop = on_group(d)
         while i < n and mts_sorted[i] == d:
@@ -148,25 +205,170 @@ def _sweep(state: _MbaState, mts: np.ndarray, on_group: Callable[[int], OnDrop])
             i += 1
 
 
-def mba(g: TemporalGraph) -> KspanTable:
-    """Full k-span table via one descending-mts sweep of triangle invalidations."""
-    tri = g.triangles()
-    state = _MbaState(g)
-    static_trn = np.asarray(state.trn, dtype=np.int64)  # T_k keys off static trn
-    kmax = int(static_trn.max()) if g.m else 2
-    dmax = int(tri.mts.max()) if tri.n else 0
-    spans: dict[int, np.ndarray] = {
-        k: np.full(g.m, -1, dtype=np.int64) for k in range(3, kmax + 1)
-    }
+def _band_spans(g: TemporalGraph, trn: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Row k − lo holds the level-k drop δ of every edge, for k in [lo, hi];
+    −1 where the edge never drops from k."""
+    state = _MbaState(g, trn, lo, hi)
+    out = np.full((hi - lo + 1, g.m), -1, dtype=np.int64)
+    rows = list(out)
 
     def on_group(d: int) -> OnDrop:
         def on_drop(e: int, k_old: int) -> None:
-            if k_old >= 3:
-                spans[k_old][e] = d
+            rows[k_old - lo][e] = d
 
         return on_drop
 
-    _sweep(state, tri.mts, on_group)
+    _sweep(state, g.triangles().mts, on_group)
+    return out
+
+
+def _bands(trn: np.ndarray, tri_e: np.ndarray, kmax: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous bands [lo, hi] covering [3, kmax] of ≈ equal estimated
+    work, at most ``workers`` of them and at least MIN_BAND_WORK each."""
+    if kmax < 3:
+        return []
+    per_edge = np.bincount(tri_e.ravel(), minlength=len(trn))
+    at = np.bincount(trn, weights=per_edge, minlength=kmax + 1)
+    w = np.cumsum(at[::-1])[::-1][3:]  # w(k) for k = 3..kmax
+    total = float(w.sum())
+    n = max(1, min(workers, kmax - 2, int(total // MIN_BAND_WORK)))
+    # each level joins the band its work midpoint falls in
+    band = np.minimum(((np.cumsum(w) - w / 2) * n / total).astype(np.int64), n - 1)
+    starts = np.flatnonzero(np.diff(band, prepend=-1)) + 3
+    return list(zip(starts.tolist(), (np.append(starts[1:], kmax + 1) - 1).tolist()))
+
+
+def _place(cpu: int) -> None:
+    """Move this thread to ``cpu`` now, and leave it free to move again.
+
+    A forked child starts on its parent's CPU, and the kernel may leave
+    all bands there for hundreds of ms (seen on a 4-vCPU VM: four bands of
+    ≈0.08 s each took 0.35 s, all on one CPU)."""
+    allowed = os.sched_getaffinity(0)
+    try:
+        os.sched_setaffinity(0, {cpu})
+    finally:
+        os.sched_setaffinity(0, allowed)
+
+
+def _fork_band(g: TemporalGraph, trn: np.ndarray, lo: int, hi: int, cpu: int):
+    """Start a child on ``cpu`` that sweeps [lo, hi] and writes its span rows
+    to a pipe; returns (pid, read end)."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:  # the child never returns to the caller
+        status = 1
+        try:
+            os.close(r)
+            _place(cpu)
+            with open(w, "wb") as f:
+                f.write(memoryview(_band_spans(g, trn, lo, hi)).cast("B"))
+            status = 0
+        except BaseException:
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+_MADV_POPULATE_WRITE = 23  # Linux ≥ 5.14; older kernels answer EINVAL
+_PAGE = os.sysconf("SC_PAGE_SIZE")
+
+
+def _own_memory() -> None:
+    """Take back write access to this process's resident private memory.
+
+    A fork write-protects every resident page of the caller, so after the
+    children exit each page's next first write still faults (≈2 µs). The
+    caller pays those faults wherever it next writes: a caller that frees
+    its previous graph and queries the new one took ≈500 of them inside
+    its queries per stackoverflow@1 build (perfbench `build`: DC-query p99
+    +27 %), and maintenance after a rebuild ran 16 % slower (`maintain`).
+    One populate call per run of resident pages resolves them here, in one
+    batch of ≈30 ms at 250 MB; pages that are not resident stay so. A
+    kernel without the advice changes nothing.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            spans = [f[0] for f in map(str.split, maps)
+                     if f[1] == "rw-p" and (len(f) == 5 or f[5] == "[heap]")]
+        pagemap = open("/proc/self/pagemap", "rb")
+    except OSError:
+        return
+    madvise = ctypes.CDLL(None, use_errno=True).madvise
+    madvise.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int]
+    madvise.restype = ctypes.c_int
+    with pagemap:
+        for span in spans:
+            lo, hi = (int(x, 16) for x in span.split("-"))
+            pagemap.seek(lo // _PAGE * 8)
+            present = np.frombuffer(pagemap.read((hi - lo) // _PAGE * 8), dtype=np.uint64) >> 63
+            edges = np.diff(present.astype(np.int8), prepend=0, append=0)
+            for a, b in zip(np.flatnonzero(edges == 1).tolist(), np.flatnonzero(edges == -1).tolist()):
+                madvise(lo + a * _PAGE, (b - a) * _PAGE, _MADV_POPULATE_WRITE)
+
+
+def _recv(f, shape: tuple[int, int]) -> np.ndarray | None:
+    """Read one band's span rows; None if the child closed the pipe early."""
+    out = np.empty(shape, dtype=np.int64)
+    buf = memoryview(out).cast("B")
+    return out if f.readinto(buf) == len(buf) else None
+
+
+def _sweep_bands(g: TemporalGraph, trn: np.ndarray, bands: list[tuple[int, int]]) -> list[np.ndarray]:
+    """Span rows of every band: the first swept here, each further one in a
+    forked child. Every child is reaped before this returns or raises."""
+    if len(bands) <= 1:
+        return [_band_spans(g, trn, lo, hi) for lo, hi in bands]
+    procs = []
+    got: list[np.ndarray | None] = []
+    cpus = sorted(os.sched_getaffinity(0))
+    # a child's collections then leave the inherited objects alone, so no
+    # finalizer of the caller's garbage (say, a py4j proxy that messages
+    # the JVM over the caller's socket) runs in a child
+    gc.freeze()
+    try:
+        for i, (lo, hi) in enumerate(bands[1:], 1):
+            procs.append(_fork_band(g, trn, lo, hi, cpus[i % len(cpus)]))
+        _place(cpus[0])
+        got.append(_band_spans(g, trn, *bands[0]))
+        got += [_recv(f, (hi - lo + 1, g.m)) for (_, f), (lo, hi) in zip(procs, bands[1:])]
+    finally:
+        gc.unfreeze()
+        failed = len(got) < len(bands)
+        for pid, f in procs:
+            f.close()
+            if failed:
+                os.kill(pid, signal.SIGKILL)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in procs]
+    _own_memory()
+    for (lo, hi), rows, status in zip(bands[1:], got[1:], statuses):
+        if rows is None or status != 0:
+            raise RuntimeError(f"MBA band [{lo}, {hi}] failed in its child process "
+                               f"(exit code {os.waitstatus_to_exitcode(status)})")
+    return got
+
+
+def mba(g: TemporalGraph, workers: int | None = None) -> KspanTable:
+    """Full k-span table via descending-mts sweeps of triangle invalidations,
+    one per level band, on up to ``workers`` processes (default: every core
+    this process may run on)."""
+    tri = g.triangles()
+    static_trn = trussness(g.m, tri, np.ones(tri.n, dtype=bool))  # T_k keys off static trn
+    kmax = int(static_trn.max()) if g.m else 2
+    dmax = int(tri.mts.max()) if tri.n else 0
+    if workers is None:
+        workers = len(os.sched_getaffinity(0))
+    bands = _bands(static_trn, tri.tri_e, kmax, workers)
+    spans: dict[int, np.ndarray] = {}
+    for (lo, hi), rows in zip(bands, _sweep_bands(g, static_trn, bands)):
+        spans.update(zip(range(lo, hi + 1), rows))
 
     # Edges still at trussness t after the sweep have k-span 0 for all k ≤ t.
     for k in range(3, kmax + 1):

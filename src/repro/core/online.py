@@ -20,11 +20,16 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from .decomposition import peel_to_truss, support
+from .kspan import check_query
 from .model import TemporalGraph
 
 
 def online_query(g: TemporalGraph, k: int, delta: float) -> set[tuple[int, int]]:
-    """Edge set of T_{k,δ} by direct peeling (driver-local, exact)."""
+    """Edge set of T_{k,δ} by direct peeling (driver-local, exact).
+
+    Raises ValueError for a non-integral k or a NaN δ, as TC and DC do.
+    """
+    check_query(k, delta)
     if k <= 2:
         return set(g.edges)
     tri = g.triangles()
@@ -58,8 +63,10 @@ def online_query_spark(
 
     Each round: count, per edge, the valid triangles whose three edges are
     all alive; anti-join away edges with count < k−2; stop when no edge was
-    dropped. ``localCheckpoint`` truncates the growing lineage.
+    dropped. ``localCheckpoint`` truncates the growing lineage. Raises
+    ValueError for a non-integral k or a NaN δ before any job runs.
     """
+    check_query(k, delta)
     if k <= 2:
         return edges.select("src", "dst")
     alive = edges.select("src", "dst").localCheckpoint()

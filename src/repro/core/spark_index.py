@@ -60,7 +60,8 @@ def build_index_spark(flat: DataFrame) -> tuple[KspanTable, DataFrame]:
     """Hybrid distributed index construction.
 
     flat (u, v, t) → packed edges (Catalyst) → triangles + mts (Catalyst)
-    → MBA δ-sweep on the driver → k-span table DataFrame partitioned by k.
+    → MBA δ-sweep on the driver, its level bands on every driver core →
+    k-span table DataFrame partitioned by k.
     """
     packed = pack_flat(flat)
     g = temporal_graph_from_spark(packed)

@@ -49,6 +49,45 @@ def mba_with_delta_trace(
     return out
 
 
+def kspan_fixpoint(g: TemporalGraph) -> dict[int, np.ndarray]:
+    """The k-span table as the least fixpoint of F, by Kleene iteration from 0.
+
+    F(s)(e) at level k is the (k−2)-th smallest max(mts ∆, s(a), s(b)) over
+    e's triangles ∆ = {e, a, b} inside the static k-truss. For a fixpoint s,
+    every {e : s(e) ≤ δ} is a (k, δ)-subgraph, so s ≥ k-spn; the k-spans are
+    a fixpoint, and F is monotone, so F^j(0) rises to them exactly. Shares
+    no code with MBA, DBA or ``decomph``: the static k-truss is peeled here.
+    Returns {k: spans} with −1 for edges outside the static k-truss.
+    """
+    tri = g.triangles()
+    te, out, k = tri.tri_e, {}, 3
+    alive = np.ones(g.m, dtype=bool)
+    while True:
+        while True:  # static k-truss: drop edges in < k−2 triangles inside it
+            inside = alive[te].all(axis=1)
+            keep = alive & (np.bincount(te[inside].ravel(), minlength=g.m) >= k - 2)
+            if np.array_equal(keep, alive):
+                break
+            alive = keep
+        if not alive.any():
+            return out
+        t = te[inside]
+        own, a, b = t.ravel(), t[:, [1, 2, 0]].ravel(), t[:, [2, 0, 1]].ravel()
+        mts = np.repeat(tri.mts[inside], 3)
+        # sorting (edge << 32 | value) orders each edge's values in its run
+        pick = np.searchsorted(np.sort(own), np.flatnonzero(alive)) + k - 3
+        s = np.zeros(g.m, dtype=np.int64)
+        while True:
+            val = np.maximum(mts, np.maximum(s[a], s[b]))
+            nxt = s.copy()
+            nxt[alive] = np.sort(own << 32 | val)[pick] & 0xFFFFFFFF
+            if np.array_equal(nxt, s):
+                break
+            s = nxt
+        out[k] = np.where(alive, s, -1)
+        k += 1
+
+
 def flat_pdf_to_packed_pdf(pdf: pd.DataFrame) -> pd.DataFrame:
     """Packed pandas frame ``(src, dst, ts)`` with ``ts`` as lists of ints."""
     src, dst, ts = pack_flat_pdf(pdf)

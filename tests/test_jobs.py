@@ -40,7 +40,7 @@ def test_table2_job_local(monkeypatch, capsys):
 
 def test_construction_job(monkeypatch, capsys):
     out = _run(monkeypatch, capsys, "construction_bench", ["--sf", "0.2", "--datasets", "email"])
-    assert "mba_speedup" in out
+    assert "mba_speedup" in out and "mba_par_s" in out and "par_speedup" in out
 
 
 def test_granularity_job(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Index-free Online-Query (§III), driver-local implementation."""
 import math
 
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -84,3 +85,15 @@ def test_paper_example2_delta_support_semantics():
     # k=4 needs each edge in 2 triangles: only edge (0,1) has support 2,
     # its partners don't → empty at any δ
     assert online_query(g, 4, math.inf) == set()
+
+
+def test_bad_query_input_rejected():
+    """NaN δ and non-integral k raise, as on TC and DC; ints, numpy ints and
+    inf are accepted."""
+    flat = random_temporal_graph(n_vertices=12, n_edges=40, n_timestamps=10, seed=1)
+    g = TemporalGraph.from_flat(flat)
+    for k, d in ((3, math.nan), (3.5, 10), (np.float64(4.2), 0), (math.inf, 3)):
+        with pytest.raises(ValueError):
+            online_query(g, k, d)
+    for k, d in ((3, 10), (np.int64(3), np.int64(10)), (3, math.inf), (4.0, 2)):
+        assert online_query(g, k, d) == kd_truss(flat, int(k), d), (k, d)

@@ -12,7 +12,7 @@ from repro.core.spark_index import (
     tc_query_spark,
     temporal_graph_from_spark,
 )
-from repro.tgraph.generators import random_temporal_graph, triangle_rich_graph
+from repro.tgraph.generators import analog, random_temporal_graph, triangle_rich_graph
 from repro.tgraph.schema import pack_flat
 
 
@@ -34,6 +34,16 @@ def test_build_index_spark_equals_local_mba(spark):
     table, _df = build_index_spark(spark.createDataFrame(flat_pdf))
     local = mba(TemporalGraph.from_flat(flat_pdf))
     assert table.equal(local)
+
+
+def test_build_index_spark_forks_bands_beside_live_jvm(spark):
+    """On a dense core MBA forks its level bands while this process holds a
+    live Spark gateway: the table equals the one-band table, and Spark still
+    answers afterwards."""
+    flat_pdf = analog("stackoverflow", sf=0.03, seed=7)
+    table, index_df = build_index_spark(spark.createDataFrame(flat_pdf))
+    assert table.equal(mba(TemporalGraph.from_flat(flat_pdf), workers=1))
+    assert index_df.count() == sum(int((s >= 0).sum()) for s in table.spans.values())
 
 
 def test_tc_query_spark_matches_online(spark):

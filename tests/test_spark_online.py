@@ -1,6 +1,7 @@
 """Distributed Online-Query (the paper's index-free baseline) ≡ local."""
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.model import TemporalGraph
@@ -43,3 +44,16 @@ def test_online_spark_k2(spark):
     edges, tris = _spark_inputs(spark, flat_pdf)
     assert online_query_spark(edges, tris, 2, 0).count() == edges.count()
 
+
+def test_bad_query_input_rejected(spark):
+    """NaN δ and non-integral k raise before any job runs; ints, numpy ints
+    and inf are accepted and match the local Online-Query."""
+    flat_pdf = random_temporal_graph(n_vertices=10, n_edges=30, n_timestamps=8, seed=2)
+    edges, tris = _spark_inputs(spark, flat_pdf)
+    for k, d in ((3, math.nan), (3.5, 10), (np.float64(4.2), 0), (math.inf, 3)):
+        with pytest.raises(ValueError):
+            online_query_spark(edges, tris, k, d)
+    g = TemporalGraph.from_flat(flat_pdf)
+    for k, d in ((np.int64(3), np.int64(4)), (4.0, math.inf)):
+        got = {(int(r["src"]), int(r["dst"])) for r in online_query_spark(edges, tris, k, d).collect()}
+        assert got == online_query(g, int(k), d), (k, d)
