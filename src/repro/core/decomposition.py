@@ -28,18 +28,9 @@ import numpy as np
 from .model import TriangleStore
 
 
-def support(
-    m: int, tri_e: np.ndarray, tri_ok: np.ndarray, alive: np.ndarray | None = None
-) -> np.ndarray:
-    """Per-edge support: #triangles that are valid and have all edges alive."""
-    if alive is None:
-        mask = tri_ok
-    else:
-        mask = tri_ok & alive[tri_e].all(axis=1)
-    sup = np.zeros(m, dtype=np.int64)
-    if mask.any():
-        np.add.at(sup, tri_e[mask].ravel(), 1)
-    return sup
+def support(m: int, tri_e: np.ndarray, tri_ok: np.ndarray) -> np.ndarray:
+    """Per-edge support: #valid triangles (``tri_ok``) holding the edge."""
+    return np.bincount(tri_e[tri_ok].ravel(), minlength=m)
 
 
 def peel_to_truss(

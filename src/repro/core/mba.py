@@ -64,7 +64,11 @@ the ks recount and invalidation compare one list entry instead of taking
 ``min(trn[e1], trn[e2], trn[e3])``. The cache changes only when an edge
 drops from k to k−1, and then exactly for the valid level-k triangles on the
 dropped edges: the BFS visits all of them, and moving each to k−1 as it is
-visited also marks it as seen.
+visited also marks it as seen. The state owns its band's output: its span
+rows start at 0 inside the static k-truss (an edge that never drops keeps
+k-span 0) and −1 outside, and ``settle`` records each drop from k at the
+current mts d straight into row k, so the rows are final when the sweep
+ends.
 """
 from __future__ import annotations
 
@@ -73,15 +77,12 @@ import gc
 import os
 import signal
 import traceback
-from typing import Callable
 
 import numpy as np
 
 from .decomposition import trussness
 from .kspan import KspanTable
 from .model import TemporalGraph
-
-OnDrop = Callable[[int, int], None]
 
 # Least estimated work (Σ w(k), in triangle-list entries) per band before
 # MBA forks a process for it. Measured on a 4-core VM: the sweep reads
@@ -93,21 +94,17 @@ MIN_BAND_WORK = 100_000
 
 class _MbaState:
     """Mutable state of the δ-sweep over levels [lo, hi]: trussness capped at
-    ``hi``, ks counters, levels, validity, and the band's triangle ids."""
+    ``hi``, ks counters, levels, validity, the band's triangle ids, and its
+    output ``spans``, whose row k − lo is level k's k-span of every edge."""
 
-    def __init__(self, g: TemporalGraph, trn: np.ndarray | None = None, lo: int = 3,
-                 hi: int | None = None):
+    def __init__(self, g: TemporalGraph, trn: np.ndarray, lo: int, hi: int):
         tri = g.triangles()
-        if trn is None:
-            trn = trussness(g.m, tri, np.ones(tri.n, dtype=bool))
-        if hi is None:
-            hi = int(trn.max()) if g.m else 2
         trn_arr = np.minimum(trn, hi)
         tri_trn = trn_arr[tri.tri_e]
         lvl_arr = tri_trn.min(axis=1)
         valid = lvl_arr >= lo
         at_lvl = (tri_trn == lvl_arr[:, None]) & valid[:, None]
-        self.m = g.m
+        self.lo = lo
         self.floor = lo - 1
         self.trn: list[int] = trn_arr.tolist()
         self.lvl: list[int] = lvl_arr.tolist()
@@ -116,6 +113,10 @@ class _MbaState:
         self.edge_tris: list[list[int]] = tri.edge_tris
         self.tri_valid: list[bool] = valid.tolist()
         self.tids: np.ndarray = np.flatnonzero(valid)
+        # an edge that never drops from k keeps k-span 0 (−1: not in T_k)
+        self.spans = np.full((hi - lo + 1, g.m), -1, dtype=np.int64)
+        self.spans[trn_arr >= np.arange(lo, hi + 1)[:, None]] = 0
+        self.d = 0  # mts of the triangles being invalidated
 
     def recount(self, e: int) -> int:
         """Recompute ks(e) from scratch at e's current level."""
@@ -127,12 +128,10 @@ class _MbaState:
                 cnt += 1
         return cnt
 
-    def settle(self, pending: list[int], on_drop: OnDrop) -> None:
+    def settle(self, pending: list[int]) -> None:
         """Drain edges whose ks may violate ks ≥ trn−2; drop levels until
-        stable, but never below the floor.
-
-        ``on_drop(e, k_old)`` is called for every unit decrease k_old → k_old−1.
-        """
+        stable, but never below the floor. A drop from k records
+        k-spn_k(e) = d (Lemma 4)."""
         trn, ks, lvl, floor = self.trn, self.ks, self.lvl, self.floor
         tri_edges, tri_valid, edge_tris = self.tri_edges, self.tri_valid, self.edge_tris
         while pending:
@@ -159,15 +158,16 @@ class _MbaState:
                             if ks[e2_] < k - 2:
                                 drop.add(e2_)
                                 stack.append(e2_)
+            row, d = self.spans[k - self.lo], self.d
             for e in drop:
                 trn[e] = k - 1
-                on_drop(e, k)
+                row[e] = d
             for e in drop:
                 ks[e] = self.recount(e)
                 if ks[e] < trn[e] - 2 and trn[e] > floor:
                     pending.append(e)  # Lemma 1 says unreachable; exact anyway
 
-    def invalidate(self, tid: int, on_drop: OnDrop) -> None:
+    def invalidate(self, tid: int) -> None:
         """Invalidate one triangle and maintain all trussness values."""
         if not self.tri_valid[tid]:
             return
@@ -181,45 +181,22 @@ class _MbaState:
                 if ks[e] < k - 2:
                     pending.append(e)
         if pending:
-            self.settle(pending, on_drop)
-
-
-def _sweep(state: _MbaState, mts: np.ndarray, on_group: Callable[[int], OnDrop]) -> None:
-    """Invalidate the state's triangles with mts > 0, in groups of descending mts.
-
-    ``on_group(d)`` runs before the group with mts = d is invalidated, when
-    the maintained trussness is the δ-trussness for every δ from d up to
-    the previous group's mts; it returns the ``on_drop`` callback for the
-    group. Triangles with mts = 0 stay valid in every (k, δ)-truss.
-    """
-    tids = state.tids[mts[state.tids] > 0]
-    order = tids[np.argsort(-mts[tids], kind="stable")]
-    mts_sorted = mts[order].tolist()
-    tids_sorted = order.tolist()
-    i, n = 0, len(tids_sorted)
-    while i < n:
-        d = mts_sorted[i]
-        on_drop = on_group(d)
-        while i < n and mts_sorted[i] == d:
-            state.invalidate(tids_sorted[i], on_drop)
-            i += 1
+            self.settle(pending)
 
 
 def _band_spans(g: TemporalGraph, trn: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Row k − lo holds the level-k drop δ of every edge, for k in [lo, hi];
-    −1 where the edge never drops from k."""
+    """Row k − lo holds the k-span of every edge, for k in [lo, hi]; −1 where
+    the edge is outside the static k-truss. Triangles with mts = 0 stay
+    valid in every (k, δ)-truss, so only those with mts > 0 are invalidated,
+    in descending mts."""
     state = _MbaState(g, trn, lo, hi)
-    out = np.full((hi - lo + 1, g.m), -1, dtype=np.int64)
-    rows = list(out)
-
-    def on_group(d: int) -> OnDrop:
-        def on_drop(e: int, k_old: int) -> None:
-            rows[k_old - lo][e] = d
-
-        return on_drop
-
-    _sweep(state, g.triangles().mts, on_group)
-    return out
+    mts = g.triangles().mts
+    tids = state.tids[mts[state.tids] > 0]
+    order = tids[np.argsort(-mts[tids], kind="stable")]
+    for tid, d in zip(order.tolist(), mts[order].tolist()):
+        state.d = d
+        state.invalidate(tid)
+    return state.spans
 
 
 def _bands(trn: np.ndarray, tri_e: np.ndarray, kmax: int, workers: int) -> list[tuple[int, int]]:
@@ -369,10 +346,4 @@ def mba(g: TemporalGraph, workers: int | None = None) -> KspanTable:
     spans: dict[int, np.ndarray] = {}
     for (lo, hi), rows in zip(bands, _sweep_bands(g, static_trn, bands)):
         spans.update(zip(range(lo, hi + 1), rows))
-
-    # Edges still at trussness t after the sweep have k-span 0 for all k ≤ t.
-    for k in range(3, kmax + 1):
-        zero = (static_trn >= k) & (spans[k] == -1)
-        spans[k][zero] = 0
-
     return KspanTable(list(g.edges), static_trn, kmax, dmax, spans)

@@ -190,11 +190,13 @@ class TemporalGraph:
 
         Returns a dict with keys: ``kind`` ('ts'|'edge'|'noop'), ``eid``,
         ``changed`` (list of (tid, old_mts, new_mts)) and ``new_tris``
-        (list of tids appended). A non-integral or NaN ``t`` raises
-        ``ValueError`` and leaves the graph unchanged.
+        (list of tids appended). A null, non-integral or non-finite ``u``,
+        ``v`` or ``t`` raises ``ValueError`` and leaves the graph unchanged.
         """
-        if t % 1 != 0 or t != t:
-            raise ValueError(f"timestamp must be integral, got t={t!r}")
+        for x in (u, v, t):  # x % 1 is NaN for ±inf and NaN
+            if x is None or x % 1 != 0:
+                raise ValueError(f"vertex ids and timestamp must be finite integers, got {(u, v, t)!r}")
+        u, v = int(u), int(v)
         if u == v:
             return {"kind": "noop", "eid": -1, "changed": [], "new_tris": []}
         a, b = (u, v) if u < v else (v, u)

@@ -25,7 +25,7 @@ from pyspark.sql import functions as F
 
 from ..tgraph.schema import pack_flat
 from ..triangles.enumerate import enumerate_triangles
-from .kspan import KspanTable
+from .kspan import KspanTable, check_query
 from .mba import mba
 from .model import TemporalGraph, TriangleStore
 
@@ -89,8 +89,11 @@ def tc_query_spark(index_df: DataFrame, edges: DataFrame, k: int, delta: float) 
     """TC-Query as a Catalyst filter on the DataFrame-resident index.
 
     ``edges`` (src, dst) is needed only for the k ≤ 2 degenerate case
-    (the whole graph, which the index does not store).
+    (the whole graph, which the index does not store). A non-integral k or
+    a NaN δ raises ``ValueError``, as on TC and DC: Spark orders NaN above
+    every number, so ``kspan <= NaN`` would return the static k-truss.
     """
+    check_query(k, delta)
     if k <= 2:
         return edges.select("src", "dst")
     return index_df.where(

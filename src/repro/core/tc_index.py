@@ -27,7 +27,6 @@ class _MapStructure:
     """I_k: the per-k sequence + offset directory."""
 
     edge_ids: np.ndarray  # E_k as edge ids, k-span descending
-    spans: np.ndarray  # k-span of each entry (same order, descending)
     uniq_spans_asc: list[int]  # distinct k-spans, ascending (for bisect)
     offsets: list[int]  # offsets[i]: first entry in E_k with k-span uniq_spans_asc[i]
 
@@ -39,10 +38,9 @@ def _build_map(spans_k: np.ndarray) -> _MapStructure:
     order = np.argsort(-spans_k[ids], kind="stable")
     ids = ids[order]
     ids.setflags(write=False)  # query results are views of E_k
-    spans = spans_k[ids]
-    # spans is descending, so each value's first occurrence starts its run
-    uniq, offsets = np.unique(spans, return_index=True)
-    return _MapStructure(ids, spans, uniq.tolist(), offsets.tolist())
+    # the spans are descending, so each value's first occurrence starts its run
+    uniq, offsets = np.unique(spans_k[ids], return_index=True)
+    return _MapStructure(ids, uniq.tolist(), offsets.tolist())
 
 
 class TCIndex:

@@ -41,28 +41,42 @@ def normalize_flat_pdf(pdf: pd.DataFrame) -> pd.DataFrame:
     )
 
 
+def _whole(name: str, what: str):
+    """Column ``name`` cast to long, or a job failure on a null, non-finite
+    or non-integral value (t − floor(t) is NaN for ±inf and NaN, and
+    non-zero for a fraction)."""
+    c = F.col(name)
+    bad = c.isNull() | (c - F.floor(c) != 0)
+    msg = F.lit(f"the {name} column holds a null, non-integral or non-finite {what}")
+    return F.when(bad, F.raise_error(msg)).otherwise(c.cast("long")).alias(name)
+
+
 def pack_flat(flat: DataFrame) -> DataFrame:
     """Flat Spark frame → packed Spark frame (src<dst, sorted distinct ts).
 
     Pure DataFrame ops so Catalyst plans the whole normalization: orient,
     filter self-loops, and aggregate timestamps with ``sort_array(collect_set)``.
-    A null, non-finite or non-integral ``t`` fails the job that first reads
-    the frame (as :func:`pack_flat_pdf` raises ``ValueError``): the check
-    sits in the projection, so it costs no job of its own.
+    A null, non-finite or non-integral ``u``, ``v`` or ``t`` fails the job
+    that first reads the frame (as :func:`pack_flat_pdf` raises
+    ``ValueError``): the check sits in the projection, so it costs no job of
+    its own.
     """
-    lo = F.least("u", "v").alias("src")
-    hi = F.greatest("u", "v").alias("dst")
-    t = F.col("t")
-    # t − floor(t) is NaN for ±inf and NaN, and non-zero for a fraction
-    bad = t.isNull() | (t - F.floor(t) != 0)
-    msg = F.lit("the t column holds a null, non-integral or non-finite timestamp")
-    t_long = F.when(bad, F.raise_error(msg)).otherwise(t.cast("long")).alias("t")
+    checked = flat.select(_whole("u", "vertex id"), _whole("v", "vertex id"), _whole("t", "timestamp"))
     return (
-        flat.where(F.col("u") != F.col("v"))
-        .select(lo, hi, t_long)
+        checked.where(F.col("u") != F.col("v"))
+        .select(F.least("u", "v").alias("src"), F.greatest("u", "v").alias("dst"), "t")
         .groupBy("src", "dst")
         .agg(F.sort_array(F.collect_set("t")).alias("ts"))
     )
+
+
+def _whole_pdf(pdf: pd.DataFrame, name: str, what: str) -> np.ndarray:
+    """Column ``name`` as int64; ``ValueError`` if it is a float column with
+    a non-finite or non-integral value."""
+    x = pdf[name].to_numpy()
+    if x.dtype.kind == "f" and not (np.isfinite(x).all() and (x % 1 == 0).all()):
+        raise ValueError(f"the {name} column holds a non-integral or non-finite {what}")
+    return x.astype(np.int64, copy=False)
 
 
 def pack_flat_pdf(pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
@@ -70,15 +84,13 @@ def pack_flat_pdf(pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray, list[np.nd
 
     Returns ``(src, dst, ts)``: the oriented static edges in ``(src, dst)``
     order and, per edge, its sorted distinct timestamps (views into one
-    int64 array). A float ``t`` column must hold only finite integral
-    values, or ``ValueError`` is raised; int columns are taken as they are.
+    int64 array). A float ``u``, ``v`` or ``t`` column must hold only finite
+    integral values (a null is NaN there), or ``ValueError`` is raised; int
+    columns are taken as they are.
     """
-    t = pdf["t"].to_numpy()
-    if t.dtype.kind == "f" and not (np.isfinite(t).all() and (t % 1 == 0).all()):
-        raise ValueError("the t column holds a non-integral or non-finite timestamp")
-    u = pdf["u"].to_numpy(dtype=np.int64)
-    v = pdf["v"].to_numpy(dtype=np.int64)
-    t = t.astype(np.int64, copy=False)
+    u = _whole_pdf(pdf, "u", "vertex id")
+    v = _whole_pdf(pdf, "v", "vertex id")
+    t = _whole_pdf(pdf, "t", "timestamp")
     keep = u != v
     lo, hi, t = np.minimum(u, v)[keep], np.maximum(u, v)[keep], t[keep]
     order = np.lexsort((t, hi, lo))
@@ -92,3 +104,4 @@ def pack_flat_pdf(pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray, list[np.nd
     starts = np.flatnonzero(new_edge)
     bounds = starts.tolist() + [len(t)]
     return lo[starts], hi[starts], [t[a:b] for a, b in zip(bounds, bounds[1:])]
+

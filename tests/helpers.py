@@ -4,7 +4,6 @@ import pandas as pd
 
 from repro.core.dc_index import DCIndex
 from repro.core.kspan import KspanTable
-from repro.core.mba import OnDrop, _MbaState, _sweep
 from repro.core.model import TemporalGraph
 from repro.core.tc_index import TCIndex
 from repro.tgraph.schema import pack_flat_pdf
@@ -26,66 +25,80 @@ def span_map(table: KspanTable) -> dict:
     return out
 
 
-def mba_with_delta_trace(
-    g: TemporalGraph, probe_deltas: list[int]
-) -> dict[int, np.ndarray]:
-    """The maintained trussness array of MBA's sweep right after each probe δ.
-
-    Returns {δ: trn_δ} where trn_δ counts only triangles with mts ≤ δ —
-    cross-checked against a fresh decomposition at each probe.
-    """
-    state = _MbaState(g)
-    probes = sorted(set(probe_deltas))  # ascending: pop the largest first
-    out: dict[int, np.ndarray] = {}
-
-    def on_group(d: int) -> OnDrop:
-        while probes and probes[-1] >= d:
-            out[probes.pop()] = np.asarray(state.trn, dtype=np.int64)
-        return lambda e, k: None
-
-    _sweep(state, g.triangles().mts, on_group)
-    for d in probes:
-        out[d] = np.asarray(state.trn, dtype=np.int64)
-    return out
-
-
-def kspan_fixpoint(g: TemporalGraph) -> dict[int, np.ndarray]:
-    """The k-span table as the least fixpoint of F, by Kleene iteration from 0.
-
-    F(s)(e) at level k is the (k−2)-th smallest max(mts ∆, s(a), s(b)) over
-    e's triangles ∆ = {e, a, b} inside the static k-truss. For a fixpoint s,
-    every {e : s(e) ≤ δ} is a (k, δ)-subgraph, so s ≥ k-spn; the k-spans are
-    a fixpoint, and F is monotone, so F^j(0) rises to them exactly. Shares
-    no code with MBA, DBA or ``decomph``: the static k-truss is peeled here.
-    Returns {k: spans} with −1 for edges outside the static k-truss.
-    """
-    tri = g.triangles()
-    te, out, k = tri.tri_e, {}, 3
+def _static_trusses(g: TemporalGraph):
+    """Yield (k, alive, inside) for k = 3, 4, … while the static k-truss is
+    non-empty: its edge mask, peeled here from the previous level's (an
+    edge goes while it is in < k−2 triangles inside), and the mask of the
+    triangles inside it."""
+    te, k = g.triangles().tri_e, 3
     alive = np.ones(g.m, dtype=bool)
     while True:
-        while True:  # static k-truss: drop edges in < k−2 triangles inside it
+        while True:
             inside = alive[te].all(axis=1)
             keep = alive & (np.bincount(te[inside].ravel(), minlength=g.m) >= k - 2)
             if np.array_equal(keep, alive):
                 break
             alive = keep
         if not alive.any():
-            return out
-        t = te[inside]
-        own, a, b = t.ravel(), t[:, [1, 2, 0]].ravel(), t[:, [2, 0, 1]].ravel()
-        mts = np.repeat(tri.mts[inside], 3)
-        # sorting (edge << 32 | value) orders each edge's values in its run
-        pick = np.searchsorted(np.sort(own), np.flatnonzero(alive)) + k - 3
+            return
+        yield k, alive, inside
+        k += 1
+
+
+def _local_update(g: TemporalGraph, k: int, alive: np.ndarray, inside: np.ndarray):
+    """F at level k: F(s)(e) is the (k−2)-th smallest max(mts ∆, s(a), s(b))
+    over e's triangles ∆ = {e, a, b} inside the static k-truss ``alive``."""
+    tri = g.triangles()
+    t = tri.tri_e[inside]
+    own, a, b = t.ravel(), t[:, [1, 2, 0]].ravel(), t[:, [2, 0, 1]].ravel()
+    mts = np.repeat(tri.mts[inside], 3)
+    # sorting (edge << 32 | value) orders each edge's values in its run
+    pick = np.searchsorted(np.sort(own), np.flatnonzero(alive)) + k - 3
+
+    def f(s: np.ndarray) -> np.ndarray:
+        val = np.maximum(mts, np.maximum(s[a], s[b]))
+        out = s.copy()
+        out[alive] = np.sort(own << 32 | val)[pick] & 0xFFFFFFFF
+        return out
+
+    return f
+
+
+def kspan_fixpoint(g: TemporalGraph) -> dict[int, np.ndarray]:
+    """The k-span table as the least fixpoint of F, by Kleene iteration from 0.
+
+    For a fixpoint s of F (:func:`_local_update`), every {e : s(e) ≤ δ} is
+    a (k, δ)-subgraph, so s ≥ k-spn; the k-spans are a fixpoint, and F is
+    monotone, so F^j(0) rises to them exactly. Shares no code with MBA, DBA
+    or ``decomph``: the static k-truss is peeled here.
+    Returns {k: spans} with −1 for edges outside the static k-truss.
+    """
+    out = {}
+    for k, alive, inside in _static_trusses(g):
+        f = _local_update(g, k, alive, inside)
         s = np.zeros(g.m, dtype=np.int64)
-        while True:
-            val = np.maximum(mts, np.maximum(s[a], s[b]))
-            nxt = s.copy()
-            nxt[alive] = np.sort(own << 32 | val)[pick] & 0xFFFFFFFF
-            if np.array_equal(nxt, s):
-                break
+        while not np.array_equal(nxt := f(s), s):
             s = nxt
         out[k] = np.where(alive, s, -1)
-        k += 1
+    return out
+
+
+def assert_kspan_fixpoint(g: TemporalGraph, table: KspanTable) -> None:
+    """One application of F on every level leaves ``table`` as it is, its
+    levels are exactly the static k-trusses of ``g``, and trn, kmax and δmax
+    agree. Necessary for ``table`` to be g's k-span table, not sufficient:
+    F has fixpoints above the least one."""
+    tri = g.triangles()
+    assert list(table.edges) == list(g.edges)
+    assert table.delta_max == (int(tri.mts.max()) if tri.n else 0)
+    trn = np.full(g.m, 2, dtype=np.int64)
+    for k, alive, inside in _static_trusses(g):
+        s = table.spans[k]
+        assert np.array_equal(s >= 0, alive), k
+        assert np.array_equal(_local_update(g, k, alive, inside)(s), s), k
+        trn[alive] = k
+    assert table.kmax == int(trn.max())
+    assert np.array_equal(table.trn, trn)
 
 
 def flat_pdf_to_packed_pdf(pdf: pd.DataFrame) -> pd.DataFrame:

@@ -70,12 +70,11 @@ def test_support_counts_valid_alive_only():
     ok[0] = False
     sup2 = support(g.m, tri.tri_e, ok)
     assert sup2.sum() == sup.sum() - 3
-    # kill one edge via aliveness
-    alive = np.ones(g.m, bool)
-    alive[0] = False
-    sup3 = support(g.m, tri.tri_e, np.ones(tri.n, bool), alive)
-    assert sup3[0] == 0 or True  # edge 0's own count irrelevant once dead
-    assert sup3.max() <= 2
+    # exactly the dead triangle's three edges lose one, as an int64 count
+    want = np.full(g.m, 2, dtype=np.int64)
+    want[tri.tri_e[0]] = 1
+    assert sup2.dtype == np.int64 and np.array_equal(sup2, want)
+    assert not support(g.m, tri.tri_e, np.zeros(tri.n, bool)).any()
 
 
 def test_empty_graph():

@@ -9,7 +9,7 @@ from repro.core.model import TemporalGraph
 from repro.core.tc_index import TCIndex
 from repro.tgraph.generators import analog, random_temporal_graph, triangle_rich_graph
 
-from tests.helpers import span_map
+from tests.helpers import assert_kspan_fixpoint, span_map
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -68,7 +68,9 @@ def test_stream_on_email_analog():
 
 
 def test_mathoverflow_reinsertion_stream():
-    """200 held-out analog rows, timestamp and edge insertions mixed, ≡ rebuild."""
+    """200 held-out analog rows, timestamp and edge insertions mixed: the
+    maintained table is a fixpoint of the local k-span update on every
+    level after every insertion, and ≡ rebuild every 100 insertions."""
     flat = analog("mathoverflow", sf=0.2, seed=7)
     held = np.random.default_rng(11).choice(len(flat), size=200, replace=False)
     g = TemporalGraph.from_flat(flat.drop(flat.index[held]))
@@ -78,6 +80,7 @@ def test_mathoverflow_reinsertion_stream():
     rows = flat.iloc[held][["u", "v", "t"]].itertuples(index=False)
     for i, (u, v, t) in enumerate(rows, start=1):
         kinds.append(m.insert(int(u), int(v), int(t)).kind)
+        assert_kspan_fixpoint(g, m.table)
         if i % 100 == 0:
             fresh = mba(TemporalGraph.from_flat(g.to_flat()))
             assert m.table.kmax == fresh.kmax

@@ -10,7 +10,7 @@ from repro.core.kspan import dba
 from repro.core.mba import _band_spans, mba
 from repro.core.model import TemporalGraph
 from repro.tgraph.generators import analog, random_temporal_graph, triangle_rich_graph
-from tests.helpers import kspan_fixpoint, mba_with_delta_trace
+from tests.helpers import kspan_fixpoint
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -41,13 +41,21 @@ def test_mba_equals_dba_on_dense_core():
 @pytest.mark.parametrize("seed", range(6))
 def test_maintained_trussness_equals_fresh_decomposition(seed):
     """Lemmas 1–3: after invalidating all triangles with mts > δ, the
-    maintained trussness equals a from-scratch δ-decomposition."""
+    maintained trussness equals a from-scratch δ-decomposition.
+
+    The maintained trussness after the groups > δ is read off MBA's table:
+    the largest k with 0 ≤ spn_k(e) ≤ δ, else 2. That is the state by
+    construction, since levels only fall and a fall from k during the
+    group d records spn_k(e) = d > δ."""
     flat = random_temporal_graph(n_vertices=13, n_edges=50, n_timestamps=10, seed=seed)
     g = TemporalGraph.from_flat(flat)
     tri = g.triangles()
-    probes = sorted({int(m) for m in tri.mts} | {0})
-    trace = mba_with_delta_trace(g, probes)
-    for d, maintained in trace.items():
+    table = mba(g)
+    for d in sorted({int(m) for m in tri.mts} | {0}):
+        maintained = np.full(g.m, 2, dtype=np.int64)
+        for k in range(3, table.kmax + 1):
+            s = table.spans[k]
+            maintained[(s >= 0) & (s <= d)] = k
         fresh = trussness(g.m, tri, tri.mts <= d)
         assert np.array_equal(maintained, fresh), d
 
@@ -59,13 +67,14 @@ def test_lemma1_single_invalidation_drops_at_most_one():
     flat = triangle_rich_graph(n_cliques=2, clique_size=6, n_timestamps=14, seed=7)
     g = TemporalGraph.from_flat(flat)
     tri = g.triangles()
-    state = _MbaState(g)
+    trn = trussness(g.m, tri, np.ones(tri.n, dtype=bool))
+    state = _MbaState(g, trn, 3, int(trn.max()))
     order = np.argsort(-tri.mts, kind="stable")
     for tid in order:
         if int(tri.mts[tid]) == 0:
             break
         before = np.asarray(state.trn)
-        state.invalidate(int(tid), lambda e, k: None)
+        state.invalidate(int(tid))
         assert (before - np.asarray(state.trn)).max() <= 1
 
 
@@ -77,7 +86,8 @@ def test_ks_invariant_maintained():
     flat = random_temporal_graph(n_vertices=12, n_edges=45, n_timestamps=8, seed=3)
     g = TemporalGraph.from_flat(flat)
     tri = g.triangles()
-    state = _MbaState(g)
+    trn = trussness(g.m, tri, np.ones(tri.n, dtype=bool))
+    state = _MbaState(g, trn, 3, int(trn.max()))
     order = np.argsort(-tri.mts, kind="stable")
 
     def level(tid):
@@ -99,7 +109,7 @@ def test_ks_invariant_maintained():
     for tid in order[: min(25, len(order))]:
         if int(tri.mts[tid]) == 0:
             break
-        state.invalidate(int(tid), lambda e, k: None)
+        state.invalidate(int(tid))
         check()
 
 

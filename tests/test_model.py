@@ -134,11 +134,28 @@ def test_insert_rejects_non_integral_timestamp(t):
 
 
 def test_insert_accepts_integral_float_and_numpy_int():
+    """For timestamps and vertex ids alike; the edge list holds ints."""
     g = TemporalGraph.from_flat(pd.DataFrame({"u": [0], "v": [1], "t": [3]}))
     assert g.insert(0, 1, 4.0)["kind"] == "ts"
-    assert g.insert(0, 1, np.int64(6))["kind"] == "ts"
-    assert g.insert(1, 2, np.int32(2))["kind"] == "edge"
+    assert g.insert(1.0, np.int64(0), np.int64(6))["kind"] == "ts"
+    assert g.insert(np.int32(2), 1.0, np.int32(2))["kind"] == "edge"
+    assert g.edges == [(0, 1), (1, 2)]
+    assert all(type(x) is int for e in g.edges for x in e)
     assert [ts.tolist() for ts in g.times] == [[3, 4, 6], [2]]
+
+
+@pytest.mark.parametrize("bad", [1.5, float("nan"), float("inf"), None])
+def test_insert_rejects_non_integral_vertex_id(bad):
+    """A fractional vertex id would land as an edge (1.5, 2); a bad id on
+    either end is rejected and the graph, store included, is unchanged."""
+    g = TemporalGraph.from_flat(pd.DataFrame({"u": [0, 1, 0], "v": [1, 2, 2], "t": [3, 5, 9]}))
+    tri = g.triangles()
+    before = (list(g.edges), [ts.tolist() for ts in g.times], tri.n, tri.mts.tolist())
+    for u, v in ((bad, 2), (0, bad), (bad, bad)):
+        with pytest.raises(ValueError):
+            g.insert(u, v, 4)
+    tri = g.triangles()
+    assert (list(g.edges), [ts.tolist() for ts in g.times], tri.n, tri.mts.tolist()) == before
 
 
 @pytest.mark.parametrize("bad", [3.7, float("nan"), float("inf")])
@@ -148,12 +165,23 @@ def test_from_flat_rejects_non_integral_timestamps(bad):
         TemporalGraph.from_flat(flat)
 
 
+@pytest.mark.parametrize("col", ["u", "v"])
+@pytest.mark.parametrize("bad", [1.5, float("nan"), float("inf")])
+def test_from_flat_rejects_non_integral_vertex_ids(col, bad):
+    flat = pd.DataFrame({"u": [0.0, 1.0], "v": [1.0, 2.0], "t": [2, 3]})
+    flat.loc[1, col] = bad
+    with pytest.raises(ValueError, match=f"the {col} column"):
+        TemporalGraph.from_flat(flat)
+
+
 def test_from_flat_accepts_integral_float_and_int32_timestamps():
-    as_float = pd.DataFrame({"u": [0, 1, 0], "v": [1, 2, 1], "t": [7.0, 2.0, 2.0]})
-    as_int32 = as_float.astype({"t": np.int32})
+    """Vertex ids too: float and int32 u, v columns give int edges."""
+    as_float = pd.DataFrame({"u": [1.0, 1.0, 0.0], "v": [0.0, 2.0, 1.0], "t": [7.0, 2.0, 2.0]})
+    as_int32 = as_float.astype(np.int32)
     for flat in (as_float, as_int32):
         g = TemporalGraph.from_flat(flat)
         assert g.edges == [(0, 1), (1, 2)]
+        assert all(type(x) is int for e in g.edges for x in e)
         assert [ts.tolist() for ts in g.times] == [[2, 7], [2]]
         assert all(ts.dtype == np.int64 for ts in g.times)
 

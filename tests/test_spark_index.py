@@ -1,6 +1,7 @@
 """Hybrid distributed index construction + DataFrame-resident TC-Query."""
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.mba import mba
@@ -12,6 +13,7 @@ from repro.core.spark_index import (
     tc_query_spark,
     temporal_graph_from_spark,
 )
+from repro.core.tc_index import TCIndex
 from repro.tgraph.generators import analog, random_temporal_graph, triangle_rich_graph
 from repro.tgraph.schema import pack_flat
 
@@ -68,3 +70,19 @@ def test_index_df_partitioned_by_k(spark):
     # the filter should reach the index without a shuffle: one stage scan
     plan = tc_query_spark(index_df, None, 4, 10)._jdf.queryExecution().executedPlan().toString()
     assert "Exchange" not in plan.split("InMemoryTableScan")[0]
+
+
+def test_tc_query_spark_rejects_bad_query(spark):
+    """NaN δ, non-integral k and infinite k raise before any job runs, as
+    on TC and DC; ints, numpy ints and δ = inf are accepted."""
+    flat_pdf = triangle_rich_graph(n_cliques=3, clique_size=7, n_timestamps=30, seed=4)
+    flat = spark.createDataFrame(flat_pdf)
+    table, index_df = build_index_spark(flat)
+    edges = pack_flat(flat).select("src", "dst")
+    for k, d in ((4, math.nan), (3.5, 10), (math.inf, 10)):
+        with pytest.raises(ValueError):
+            tc_query_spark(index_df, edges, k, d)
+    want = TCIndex(table)
+    for k, d in ((np.int64(4), np.int64(10)), (4, math.inf)):
+        got = {(int(r["src"]), int(r["dst"])) for r in tc_query_spark(index_df, edges, k, d).collect()}
+        assert got == want.query(int(k), d), (k, d)

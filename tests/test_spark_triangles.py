@@ -90,9 +90,23 @@ def test_pack_flat_rejects_non_integral_timestamps(spark, bad):
         pack_flat(flat).collect()
 
 
+@pytest.mark.parametrize("col", ["u", "v"])
+@pytest.mark.parametrize("bad", [1.5, float("nan"), float("inf"), None])
+def test_pack_flat_rejects_non_integral_vertex_ids(spark, col, bad):
+    """Mirrors the local packer. A null id fails too, where the self-loop
+    filter alone would drop its row."""
+    pdf = pd.DataFrame({"u": [0.0, 1.0], "v": [1.0, 2.0], "t": [2, 3]}).astype(object)
+    pdf.loc[1, col] = bad
+    flat = spark.createDataFrame(pdf, "u double, v double, t long")
+    with pytest.raises(Exception, match=f"the {col} column holds a null, non-integral or non-finite vertex id"):
+        pack_flat(flat).collect()
+
+
 def test_pack_flat_accepts_integral_float_and_int32_timestamps(spark):
-    as_float = pd.DataFrame({"u": [0, 1, 0], "v": [1, 2, 1], "t": [7.0, 2.0, 2.0]})
-    as_int32 = as_float.astype({"t": np.int32})
+    """Vertex ids too: float and int32 u, v columns give long src, dst."""
+    as_float = pd.DataFrame({"u": [1.0, 1.0, 0.0], "v": [0.0, 2.0, 1.0], "t": [7.0, 2.0, 2.0]})
+    as_int32 = as_float.astype(np.int32)
     for flat in (as_float, as_int32):
         packed = pack_flat(spark.createDataFrame(flat)).orderBy("src", "dst").collect()
         assert [(r["src"], r["dst"], list(r["ts"])) for r in packed] == [(0, 1, [2, 7]), (1, 2, [2])]
+        assert all(type(r["src"]) is int and type(r["dst"]) is int for r in packed)
