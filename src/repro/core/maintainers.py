@@ -33,6 +33,7 @@ class TCMaintainer:
         self.g = g
         self.table = table if table is not None else mba(g)
         self.index = TCIndex(self.table)
+        g.eid, g.nbr  # built on first use: here, not in the first insertion
 
     def insert(self, u: int, v: int, t: int) -> MaintenanceStats:
         stats = update_kspan_table(self.g, self.table, u, v, t)
@@ -48,6 +49,7 @@ class DCMaintainer:
         self.g = g
         self.table = table if table is not None else mba(g)
         self.index = DCIndex(self.table)
+        g.eid, g.nbr  # built on first use: here, not in the first insertion
 
     def insert(self, u: int, v: int, t: int) -> MaintenanceStats:
         stats = update_kspan_table(self.g, self.table, u, v, t)

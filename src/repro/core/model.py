@@ -1,11 +1,14 @@
 """Driver-local temporal-graph model.
 
 ``TemporalGraph`` holds the packed representation (oriented static edges +
-sorted distinct timestamp arrays) with O(1) edge lookup and per-vertex
-neighbor maps, plus a lazily-built ``TriangleStore``: the flat triangle
-list (edge-id triples + minimum time span) and the per-edge triangle-id
-inverted lists that every peeling/maintenance algorithm in this package
-consumes.
+sorted distinct timestamp arrays). Built on first use are the edge → id and
+per-vertex neighbor maps (``eid``, ``nbr``), which ``insert`` and id
+lookups need and a build does not, and the ``TriangleStore``: the flat
+triangle list (edge-id triples + minimum time span) and the per-edge
+triangle-id inverted lists that every peeling/maintenance algorithm in this
+package consumes. The triangles are listed in numpy, degree-ordered
+(:func:`triangle_edges`), and their spans come from
+:func:`~repro.triangles.mts.mts_batch`.
 
 The model supports the paper's streaming update (§VI): ``insert(u, v, t)``
 applies a timestamp insertion or an edge insertion in place and — when the
@@ -100,6 +103,51 @@ class TriangleStore:
         )
 
 
+class EdgeKeys:
+    """Edges (x, y) over vertex labels 0..n−1 as sorted int64 keys x·n + y,
+    for vectorised (x, y) → edge-id lookup."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, n: int):
+        key = x * n + y
+        self.n = n
+        self.eid = np.argsort(key)  # edge id of each sorted key
+        self.keys = key[self.eid]
+
+    def find(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Edge id of each (x[i], y[i]); −1 where there is no such edge."""
+        q = x * self.n + y
+        p = np.minimum(np.searchsorted(self.keys, q), len(self.keys) - 1)
+        return np.where(self.keys[p] == q, self.eid[p], -1)
+
+
+def triangle_edges(edges: np.ndarray) -> np.ndarray:
+    """Edge-id rows ``(e_xy, e_yz, e_xz)`` of every triangle of the static
+    graph whose edge i is ``edges[i]`` (an (m, 2) array, no repeated pair).
+
+    Degree-ordered ("compact-forward") listing (Latapy, TCS 407, 2008): rank
+    the vertices by (degree, id), orient each edge from the lower rank x to
+    the higher y, and close each x → y with every z in out(y) for which
+    x → z is an edge, found by one ``searchsorted`` over the edge keys. Each
+    triangle is listed once, from its lowest-ranked vertex.
+    """
+    verts, lab = np.unique(edges, return_inverse=True)
+    n = len(verts)
+    lab = lab.reshape(-1, 2)
+    order = np.lexsort((np.arange(n), np.bincount(lab.ravel(), minlength=n)))
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    r = rank[lab]
+    keys = EdgeKeys(r.min(axis=1), r.max(axis=1), n)
+    xs, ys = np.divmod(keys.keys, n)  # sorted by x: the out-lists, in CSR order
+    head = np.searchsorted(xs, np.arange(n + 1))
+    cnt = head[ys + 1] - head[ys]  # |out(y)| for each x → y
+    p = np.repeat(np.arange(len(xs)), cnt)  # the x → y of each wedge
+    q = np.arange(len(p)) + np.repeat(head[ys] - (np.cumsum(cnt) - cnt), cnt)  # its y → z
+    e_xz = keys.find(xs[p], ys[q])
+    hit = e_xz >= 0
+    return np.stack([keys.eid[p[hit]], keys.eid[q[hit]], e_xz[hit]], axis=1)
+
+
 class TemporalGraph:
     """Packed temporal graph with lazy triangle store."""
 
@@ -107,11 +155,8 @@ class TemporalGraph:
         assert len(edges) == len(times)
         self.edges: list[tuple[int, int]] = list(edges)
         self.times: list[np.ndarray] = [np.asarray(t, dtype=np.int64) for t in times]
-        self.eid: dict[tuple[int, int], int] = {e: i for i, e in enumerate(self.edges)}
-        self.nbr: dict[int, dict[int, int]] = {}
-        for i, (u, v) in enumerate(self.edges):
-            self.nbr.setdefault(u, {})[v] = i
-            self.nbr.setdefault(v, {})[u] = i
+        self._eid: dict[tuple[int, int], int] | None = None
+        self._nbr: dict[int, dict[int, int]] | None = None
         self._tri: TriangleStore | None = None
 
     # -- constructors -----------------------------------------------------
@@ -136,7 +181,24 @@ class TemporalGraph:
 
     @property
     def vertices(self) -> set[int]:
-        return set(self.nbr)
+        return {x for e in self.edges for x in e}
+
+    @property
+    def eid(self) -> dict[tuple[int, int], int]:
+        """Edge (u, v), u < v → edge id; built on first use, kept by ``insert``."""
+        if self._eid is None:
+            self._eid = {e: i for i, e in enumerate(self.edges)}
+        return self._eid
+
+    @property
+    def nbr(self) -> dict[int, dict[int, int]]:
+        """Vertex → {neighbour: edge id}; built on first use, kept by ``insert``."""
+        if self._nbr is None:
+            self._nbr = {}
+            for i, (u, v) in enumerate(self.edges):
+                self._nbr.setdefault(u, {})[v] = i
+                self._nbr.setdefault(v, {})[u] = i
+        return self._nbr
 
     def to_flat(self) -> pd.DataFrame:
         rows_u, rows_v, rows_t = [], [], []
@@ -148,29 +210,10 @@ class TemporalGraph:
 
     # -- triangles ----------------------------------------------------------
     def triangles(self) -> TriangleStore:
-        """Enumerate all triangles (once) with their minimum time span.
-
-        Oriented enumeration: for each edge (u, v) with u < v, close with
-        common neighbors w > v, so each triangle is emitted exactly once.
-        """
-        if self._tri is not None:
-            return self._tri
-        e_uv_rows: list[int] = []
-        e_vw_rows: list[int] = []
-        e_uw_rows: list[int] = []
-        for e_uv, (u, v) in enumerate(self.edges):
-            nu, nv = self.nbr[u], self.nbr[v]
-            small, large = (nu, nv) if len(nu) <= len(nv) else (nv, nu)
-            for w in small:
-                if w > v and w in large:
-                    e_uv_rows.append(e_uv)
-                    e_vw_rows.append(nv[w])
-                    e_uw_rows.append(nu[w])
-        tri_e = np.stack(
-            [np.asarray(r, dtype=np.int64) for r in (e_uv_rows, e_vw_rows, e_uw_rows)],
-            axis=1,
-        )
-        self._tri = TriangleStore.build(tri_e, mts_batch(self.times, tri_e), self.m)
+        """Enumerate all triangles (once) with their minimum time span."""
+        if self._tri is None:
+            tri_e = triangle_edges(np.array(self.edges, dtype=np.int64).reshape(-1, 2))
+            self._tri = TriangleStore.build(tri_e, mts_batch(self.times, tri_e), self.m)
         return self._tri
 
     @property
@@ -200,8 +243,9 @@ class TemporalGraph:
         if u == v:
             return {"kind": "noop", "eid": -1, "changed": [], "new_tris": []}
         a, b = (u, v) if u < v else (v, u)
-        if (a, b) in self.eid:
-            e0 = self.eid[(a, b)]
+        eid, nbr = self.eid, self.nbr
+        if (a, b) in eid:
+            e0 = eid[(a, b)]
             ts = self.times[e0]
             if t in ts:
                 return {"kind": "noop", "eid": e0, "changed": [], "new_tris": []}
@@ -222,19 +266,19 @@ class TemporalGraph:
         e0 = self.m
         self.edges.append((a, b))
         self.times.append(np.asarray([t], dtype=np.int64))
-        self.eid[(a, b)] = e0
-        self.nbr.setdefault(a, {})[b] = e0
-        self.nbr.setdefault(b, {})[a] = e0
+        eid[(a, b)] = e0
+        nbr.setdefault(a, {})[b] = e0
+        nbr.setdefault(b, {})[a] = e0
         new_tids = []
         if self._tri is not None:
             while e0 >= len(self._tri.edge_tris):
                 self._tri.edge_tris.append([])
-            na, nb = self.nbr[a], self.nbr[b]
+            na, nb = nbr[a], nbr[b]
             small, large = (na, nb) if len(na) <= len(nb) else (nb, na)
             for w in sorted(small):
                 if w in large and w != a and w != b:
-                    e_aw = self.nbr[a][w]
-                    e_bw = self.nbr[b][w]
+                    e_aw = nbr[a][w]
+                    e_bw = nbr[b][w]
                     m = mts3(self.times[e0], self.times[e_bw], self.times[e_aw])
                     new_tids.append(self._tri.append((e0, e_bw, e_aw), m))
         return {"kind": "edge", "eid": e0, "changed": [], "new_tris": new_tids}

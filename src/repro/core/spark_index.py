@@ -27,7 +27,7 @@ from ..tgraph.schema import pack_flat
 from ..triangles.enumerate import enumerate_triangles
 from .kspan import KspanTable, check_query
 from .mba import mba
-from .model import TemporalGraph, TriangleStore
+from .model import EdgeKeys, TemporalGraph, TriangleStore
 
 
 def temporal_graph_from_spark(packed: DataFrame) -> TemporalGraph:
@@ -42,12 +42,16 @@ def temporal_graph_from_spark(packed: DataFrame) -> TemporalGraph:
     times = [np.asarray(sorted(ts), dtype=np.int64) for ts in edges_pdf["ts"]]
     g = TemporalGraph(edges, times)
     if len(tri_pdf):
-        e1 = [g.eid[(int(a), int(b))] for a, b in zip(tri_pdf["a"], tri_pdf["b"])]
-        e2 = [g.eid[(int(b), int(c))] for b, c in zip(tri_pdf["b"], tri_pdf["c"])]
-        e3 = [g.eid[(int(a), int(c))] for a, c in zip(tri_pdf["a"], tri_pdf["c"])]
-        tri_e = np.stack(
-            [np.asarray(e1), np.asarray(e2), np.asarray(e3)], axis=1
-        ).astype(np.int64)
+        # one labelling of the edges' and the triangles' vertex ids, so that
+        # a pair that is not an edge misses instead of aliasing one
+        ids = [np.array(edges, dtype=np.int64).ravel()]
+        ids += [tri_pdf[x].to_numpy(dtype=np.int64) for x in "abc"]
+        verts, lab = np.unique(np.concatenate(ids), return_inverse=True)
+        uv, a, b, c = np.split(lab.ravel(), np.cumsum([len(x) for x in ids[:-1]]))
+        keys = EdgeKeys(uv[0::2], uv[1::2], len(verts))
+        tri_e = np.stack([keys.find(a, b), keys.find(b, c), keys.find(a, c)], axis=1)
+        if (tri_e < 0).any():
+            raise RuntimeError("Spark listed a triangle over a pair that is not a packed edge")
         mts = tri_pdf["mts"].to_numpy(dtype=np.int64)
     else:
         tri_e = np.zeros((0, 3), dtype=np.int64)

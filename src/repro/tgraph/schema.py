@@ -23,22 +23,17 @@ from pyspark.sql import functions as F
 def normalize_flat_pdf(pdf: pd.DataFrame) -> pd.DataFrame:
     """Normalize a flat pandas frame: orient u<v, drop self-loops, dedup rows.
 
-    Returns a flat frame with columns ``(u, v, t)``, ``u < v``, no duplicate
-    (u, v, t) rows, deterministic row order.
+    Returns a flat int64 frame with columns ``(u, v, t)``, ``u < v``, no
+    duplicate (u, v, t) rows, deterministic row order. A null, non-finite or
+    non-integral ``u``, ``v`` or ``t`` raises ``ValueError``, as in
+    :func:`pack_flat_pdf`.
     """
-    u = pdf["u"].to_numpy()
-    v = pdf["v"].to_numpy()
-    lo, hi = u.copy(), v.copy()
-    swap = u > v
-    lo[swap], hi[swap] = v[swap], u[swap]
-    out = pd.DataFrame({"u": lo, "v": hi, "t": pdf["t"].to_numpy()})
+    u = _whole_pdf(pdf, "u", "vertex id")
+    v = _whole_pdf(pdf, "v", "vertex id")
+    t = _whole_pdf(pdf, "t", "timestamp")
+    out = pd.DataFrame({"u": np.minimum(u, v), "v": np.maximum(u, v), "t": t})
     out = out[out["u"] != out["v"]]
-    return (
-        out.drop_duplicates()
-        .sort_values(["u", "v", "t"])
-        .reset_index(drop=True)
-        .astype({"u": "int64", "v": "int64", "t": "int64"})
-    )
+    return out.drop_duplicates().sort_values(["u", "v", "t"]).reset_index(drop=True)
 
 
 def _whole(name: str, what: str):

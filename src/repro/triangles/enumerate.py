@@ -7,8 +7,8 @@ joins — the conftest disables broadcast):
 1. wedges: edges (a,b) ⋈ edges (a,c) on the shared endpoint a, with b < c;
 2. closure: ⋈ edges on (b,c);
 3. mts: an Arrow pandas UDF evaluates each batch with
-   :func:`repro.triangles.mts.mts_batch` (numpy for all-singleton triangles,
-   the three-pointer scan :func:`~repro.triangles.mts.mts3` for the rest).
+   :func:`repro.triangles.mts.mts_batch` (``max − min`` for all-singleton
+   triangles, a blocked numpy successor search for the rest).
 
 Each triangle a < b < c is emitted exactly once.
 """

@@ -91,6 +91,18 @@ def test_normalize_flat_orients_and_dedups():
     assert (out["u"] < out["v"]).all()
 
 
+@pytest.mark.parametrize(
+    "col,bad", [("u", 1.5), ("v", float("inf")), ("t", 4.7), ("t", float("nan")), ("t", float("-inf"))]
+)
+def test_normalize_flat_rejects_non_integral_values(col, bad):
+    """A fraction is not truncated and a NaN is not left to pandas' cast:
+    both raise the packers' ValueError."""
+    raw = {"u": [0.0, 1.0], "v": [1.0, 2.0], "t": [3.0, 4.0]}
+    raw[col][1] = bad
+    with pytest.raises(ValueError, match="non-integral or non-finite"):
+        normalize_flat_pdf(pd.DataFrame(raw))
+
+
 def test_packed_timestamps_sorted_distinct():
     raw = pd.DataFrame({"u": [1, 2, 1], "v": [2, 1, 2], "t": [9, 9, 3]})
     packed = flat_pdf_to_packed_pdf(raw)

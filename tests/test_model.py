@@ -1,4 +1,5 @@
 """TemporalGraph model: triangle enumeration, incremental updates."""
+import networkx as nx
 import numpy as np
 import pandas as pd
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.model import TemporalGraph
-from repro.tgraph.generators import random_temporal_graph, triangle_rich_graph
+from repro.tgraph.generators import DATASETS, analog, random_temporal_graph, triangle_rich_graph
 from repro.tgraph.schema import normalize_flat_pdf
 from repro.triangles.brute import triangles_with_mts
 from repro.triangles.mts import mts3_brute
@@ -27,6 +28,55 @@ def test_triangles_match_brute(seed):
     flat = random_temporal_graph(n_vertices=14, n_edges=45, n_timestamps=12, seed=seed)
     g = TemporalGraph.from_flat(flat)
     assert _model_triangles(g) == set(triangles_with_mts(flat))
+
+
+def _nx_triangles(edges) -> set[tuple[int, int, int]]:
+    """Independent reference: the 3-cliques of networkx's clique listing."""
+    out = set()
+    for c in nx.enumerate_all_cliques(nx.Graph(edges)):
+        if len(c) > 3:
+            break
+        if len(c) == 3:
+            out.add(tuple(sorted(c)))
+    return out
+
+
+def _vertex_triangles(g: TemporalGraph) -> list[tuple[int, int, int]]:
+    """Each listed triangle as its sorted vertex triple; its three edges are
+    distinct and span exactly three vertices."""
+    out = []
+    for row in g.triangles().tri_e.tolist():
+        assert len(set(row)) == 3
+        verts = sorted({x for e in row for x in g.edges[e]})
+        assert len(verts) == 3
+        out.append(tuple(verts))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ids=st.lists(st.integers(-(2**40), 2**40), min_size=2, max_size=14, unique=True),
+    pairs=st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_triangles_match_networkx(ids, pairs, seed):
+    """Negative, non-contiguous and large vertex ids, edges in shuffled
+    order: every triangle is listed once, as networkx finds it."""
+    ends = [(ids[a % len(ids)], ids[b % len(ids)]) for a, b in pairs]
+    edges = sorted({(min(e), max(e)) for e in ends if e[0] != e[1]})
+    edges = [edges[i] for i in np.random.default_rng(seed).permutation(len(edges))]
+    g = TemporalGraph(edges, [[0]] * len(edges))
+    found = _vertex_triangles(g)
+    assert len(found) == len(set(found))
+    assert set(found) == _nx_triangles(edges)
+
+
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_analog_triangles_match_networkx(name):
+    g = TemporalGraph.from_flat(analog(name, sf=0.05, seed=3))
+    found = _vertex_triangles(g)
+    assert len(found) == len(set(found)) and found
+    assert set(found) == _nx_triangles(g.edges)
 
 
 def test_triangles_on_clique_graph():
@@ -256,6 +306,34 @@ def _insert_stream(g: TemporalGraph, rng, n: int) -> list[str]:
             u, v = (verts[int(i)] for i in rng.integers(0, len(verts), size=2))
         kinds.append(g.insert(u, v, int(rng.integers(0, 800)))["kind"])
     return kinds
+
+
+def _assert_maps_current(g: TemporalGraph) -> None:
+    """g.eid and g.nbr equal the maps rebuilt from g.edges."""
+    nbr: dict[int, dict[int, int]] = {}
+    for i, (u, v) in enumerate(g.edges):
+        nbr.setdefault(u, {})[v] = i
+        nbr.setdefault(v, {})[u] = i
+    assert g.eid == {e: i for i, e in enumerate(g.edges)}
+    assert g.nbr == nbr
+
+
+@pytest.mark.parametrize("triangles_first", [False, True])
+def test_edge_maps_stay_current_under_mixed_stream_and_copy(triangles_first):
+    """The edge maps, built on first use, follow every insertion, on the
+    original and on a copy taken mid-stream."""
+    g = TemporalGraph.from_flat(analog("email", sf=0.06, seed=4))
+    if triangles_first:
+        g.triangles()
+    rng = np.random.default_rng(5)
+    kinds = _insert_stream(g, rng, 40)
+    _assert_maps_current(g)
+    h = g.copy()
+    kinds += _insert_stream(h, rng, 40)
+    assert kinds.count("ts") > 0 and kinds.count("edge") > 0
+    assert h.m > g.m
+    _assert_maps_current(h)
+    _assert_maps_current(g)
 
 
 def test_store_stays_consistent_under_mixed_stream_and_copy():
