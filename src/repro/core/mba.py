@@ -48,13 +48,14 @@ levels lo..hi, because:
 Bands are cut so that each holds about the same estimated work w(k) =
 Σ_{trn(e) ≥ k} |edge_tris(e)| (every edge that passes level k scans its
 triangle list there), with fewer bands when the work would not repay a
-fork. The parent process sweeps the first band and ``os.fork``s one child
+fork. The k-span table is one (kmax − 2) × m array in anonymous shared
+memory. The parent process sweeps the first band and ``os.fork``s one child
 per further band; a child reads the parent's graph copy-on-write, so
-nothing is pickled on the way in, and sends its span rows back through a
-pipe. Each process is first moved to a CPU of its own (:func:`_place`),
-and once the children are reaped the parent takes back write access to its
-resident memory in one batch (:func:`_own_memory`), which the forks had
-revoked page by page.
+nothing is pickled on the way in, and copies its span rows into its slice
+of the shared table, so nothing is sent back either. Each process is first
+moved to a CPU of its own (:func:`_place`), and once the children are
+reaped the parent takes back write access to its resident memory in one
+batch (:func:`_own_memory`), which the forks had revoked page by page.
 
 Implementation note: the sweep runs millions of tiny operations, so the
 mutable state lives in plain Python lists/tuples — numpy scalar indexing in
@@ -74,6 +75,7 @@ from __future__ import annotations
 
 import ctypes
 import gc
+import mmap
 import os
 import signal
 import traceback
@@ -228,30 +230,22 @@ def _place(cpu: int) -> None:
         os.sched_setaffinity(0, allowed)
 
 
-def _fork_band(g: TemporalGraph, trn: np.ndarray, lo: int, hi: int, cpu: int):
-    """Start a child on ``cpu`` that sweeps [lo, hi] and writes its span rows
-    to a pipe; returns (pid, read end)."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
+def _fork_band(g: TemporalGraph, trn: np.ndarray, lo: int, hi: int, cpu: int,
+               out: np.ndarray) -> int:
+    """Start a child on ``cpu`` that sweeps [lo, hi] into ``out``, rows of
+    a shared mapping; returns its pid."""
+    pid = os.fork()
     if pid == 0:  # the child never returns to the caller
         status = 1
         try:
-            os.close(r)
             _place(cpu)
-            with open(w, "wb") as f:
-                f.write(memoryview(_band_spans(g, trn, lo, hi)).cast("B"))
+            out[:] = _band_spans(g, trn, lo, hi)
             status = 0
         except BaseException:
             os.write(2, traceback.format_exc().encode())
         finally:
             os._exit(status)
-    os.close(w)
-    return pid, open(r, "rb")
+    return pid
 
 
 _MADV_POPULATE_WRITE = 23  # Linux ≥ 5.14; older kernels answer EINVAL
@@ -291,20 +285,16 @@ def _own_memory() -> None:
                 madvise(lo + a * _PAGE, (b - a) * _PAGE, _MADV_POPULATE_WRITE)
 
 
-def _recv(f, shape: tuple[int, int]) -> np.ndarray | None:
-    """Read one band's span rows; None if the child closed the pipe early."""
-    out = np.empty(shape, dtype=np.int64)
-    buf = memoryview(out).cast("B")
-    return out if f.readinto(buf) == len(buf) else None
-
-
-def _sweep_bands(g: TemporalGraph, trn: np.ndarray, bands: list[tuple[int, int]]) -> list[np.ndarray]:
-    """Span rows of every band: the first swept here, each further one in a
-    forked child. Every child is reaped before this returns or raises."""
+def _sweep_bands(g: TemporalGraph, trn: np.ndarray, bands: list[tuple[int, int]],
+                 table: np.ndarray) -> None:
+    """Fill ``table``, whose row k − 3 is level k: the first band is swept
+    here, each further one in a forked child writing its rows in place.
+    Every child is reaped before this returns or raises."""
     if len(bands) <= 1:
-        return [_band_spans(g, trn, lo, hi) for lo, hi in bands]
-    procs = []
-    got: list[np.ndarray | None] = []
+        for lo, hi in bands:
+            table[lo - 3:hi - 2] = _band_spans(g, trn, lo, hi)
+        return
+    pids = []
     cpus = sorted(os.sched_getaffinity(0))
     # a child's collections then leave the inherited objects alone, so no
     # finalizer of the caller's garbage (say, a py4j proxy that messages
@@ -312,24 +302,22 @@ def _sweep_bands(g: TemporalGraph, trn: np.ndarray, bands: list[tuple[int, int]]
     gc.freeze()
     try:
         for i, (lo, hi) in enumerate(bands[1:], 1):
-            procs.append(_fork_band(g, trn, lo, hi, cpus[i % len(cpus)]))
+            pids.append(_fork_band(g, trn, lo, hi, cpus[i % len(cpus)], table[lo - 3:hi - 2]))
         _place(cpus[0])
-        got.append(_band_spans(g, trn, *bands[0]))
-        got += [_recv(f, (hi - lo + 1, g.m)) for (_, f), (lo, hi) in zip(procs, bands[1:])]
+        lo, hi = bands[0]
+        table[lo - 3:hi - 2] = _band_spans(g, trn, lo, hi)
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
         gc.unfreeze()
-        failed = len(got) < len(bands)
-        for pid, f in procs:
-            f.close()
-            if failed:
-                os.kill(pid, signal.SIGKILL)
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in procs]
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
     _own_memory()
-    for (lo, hi), rows, status in zip(bands[1:], got[1:], statuses):
-        if rows is None or status != 0:
+    for (lo, hi), status in zip(bands[1:], statuses):
+        if status != 0:
             raise RuntimeError(f"MBA band [{lo}, {hi}] failed in its child process "
                                f"(exit code {os.waitstatus_to_exitcode(status)})")
-    return got
 
 
 def mba(g: TemporalGraph, workers: int | None = None) -> KspanTable:
@@ -342,8 +330,9 @@ def mba(g: TemporalGraph, workers: int | None = None) -> KspanTable:
     dmax = int(tri.mts.max()) if tri.n else 0
     if workers is None:
         workers = len(os.sched_getaffinity(0))
-    bands = _bands(static_trn, tri.tri_e, kmax, workers)
-    spans: dict[int, np.ndarray] = {}
-    for (lo, hi), rows in zip(bands, _sweep_bands(g, static_trn, bands)):
-        spans.update(zip(range(lo, hi + 1), rows))
-    return KspanTable(list(g.edges), static_trn, kmax, dmax, spans)
+    # shared, so forked bands write their rows straight into it; a mapping
+    # cannot be empty
+    buf = mmap.mmap(-1, max((kmax - 2) * g.m * 8, 8))
+    table = np.frombuffer(buf, dtype=np.int64, count=(kmax - 2) * g.m).reshape(kmax - 2, g.m)
+    _sweep_bands(g, static_trn, _bands(static_trn, tri.tri_e, kmax, workers), table)
+    return KspanTable(list(g.edges), static_trn, kmax, dmax, {k: table[k - 3] for k in range(3, kmax + 1)})

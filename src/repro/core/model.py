@@ -201,12 +201,11 @@ class TemporalGraph:
         return self._nbr
 
     def to_flat(self) -> pd.DataFrame:
-        rows_u, rows_v, rows_t = [], [], []
-        for (u, v), ts in zip(self.edges, self.times):
-            rows_u.extend([u] * len(ts))
-            rows_v.extend([v] * len(ts))
-            rows_t.extend(int(x) for x in ts)
-        return pd.DataFrame({"u": rows_u, "v": rows_v, "t": rows_t})
+        """Flat int64 (u, v, t) frame: one row per timestamp of each edge."""
+        uv = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        uv = np.repeat(uv, [len(ts) for ts in self.times], axis=0)
+        t = np.concatenate([np.zeros(0, dtype=np.int64), *self.times])
+        return pd.DataFrame({"u": uv[:, 0], "v": uv[:, 1], "t": t})
 
     # -- triangles ----------------------------------------------------------
     def triangles(self) -> TriangleStore:

@@ -48,9 +48,7 @@ def online_query(g: TemporalGraph, k: int, delta: float) -> set[tuple[int, int]]
     return {e for e, a in zip(g.edges, alive) if a}
 
 
-def online_query_spark(
-    edges: DataFrame, triangles: DataFrame, k: int, delta: float, *, max_rounds: int = 10_000
-) -> DataFrame:
+def online_query_spark(edges: DataFrame, triangles: DataFrame, k: int, delta: float) -> DataFrame:
     """Distributed Online-Query.
 
     Parameters
@@ -63,8 +61,9 @@ def online_query_spark(
 
     Each round: count, per edge, the valid triangles whose three edges are
     all alive; anti-join away edges with count < k−2; stop when no edge was
-    dropped. ``localCheckpoint`` truncates the growing lineage. Raises
-    ValueError for a non-integral k or a NaN δ before any job runs.
+    dropped, so at most |E| + 1 rounds run. ``localCheckpoint`` truncates
+    the growing lineage. Raises ValueError for a non-integral k or a NaN δ
+    before any job runs.
     """
     check_query(k, delta)
     if k <= 2:
@@ -76,9 +75,7 @@ def online_query_spark(
         .localCheckpoint()
     )
     n_alive = alive.count()
-    for _ in range(max_rounds):
-        if n_alive == 0:
-            return alive
+    while n_alive:
         e = alive
         t = (
             tri.join(e.select(F.col("src").alias("a"), F.col("dst").alias("b")), ["a", "b"], "left_semi")
@@ -103,10 +100,10 @@ def online_query_spark(
         alive = alive.join(keep, ["src", "dst"], "left_semi").localCheckpoint()
         n_after = alive.count()
         if n_after == n_alive:
-            return alive
+            break
         n_alive = n_after
         # restrict the triangle relation to surviving edges for later rounds
         tri = t.join(
             keep.select(F.col("src").alias("a"), F.col("dst").alias("b")), ["a", "b"], "left_semi"
         ).localCheckpoint()
-    raise RuntimeError("online_query_spark did not converge")
+    return alive

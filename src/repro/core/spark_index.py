@@ -76,15 +76,18 @@ def build_index_spark(flat: DataFrame) -> tuple[KspanTable, DataFrame]:
 def kspan_table_to_df(spark: SparkSession, table: KspanTable) -> DataFrame:
     """Publish the k-span table as DataFrame(k, kspan, src, dst), hash-
     partitioned by k so a TC-Query scan touches a single partition group."""
-    rows = []
-    for k in range(3, table.kmax + 1):
-        s = table.spans[k]
-        for e in np.flatnonzero(s >= 0):
-            u, v = table.edges[int(e)]
-            rows.append((k, int(s[e]), u, v))
-    pdf = pd.DataFrame(rows, columns=["k", "kspan", "src", "dst"])
-    if not len(pdf):
+    levels = list(range(3, table.kmax + 1))
+    ids = [np.flatnonzero(table.spans[k] >= 0) for k in levels]
+    counts = [len(i) for i in ids]
+    if not sum(counts):
         return spark.createDataFrame([], "k long, kspan long, src long, dst long")
+    ends = np.array(table.edges, dtype=np.int64)[np.concatenate(ids)]
+    pdf = pd.DataFrame({
+        "k": np.repeat(np.array(levels, dtype=np.int64), counts),
+        "kspan": np.concatenate([table.spans[k][i] for k, i in zip(levels, ids)]),
+        "src": ends[:, 0],
+        "dst": ends[:, 1],
+    })
     df = spark.createDataFrame(pdf)
     return df.repartition("k").sortWithinPartitions(F.desc("kspan")).cache()
 

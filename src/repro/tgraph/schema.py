@@ -24,16 +24,12 @@ def normalize_flat_pdf(pdf: pd.DataFrame) -> pd.DataFrame:
     """Normalize a flat pandas frame: orient u<v, drop self-loops, dedup rows.
 
     Returns a flat int64 frame with columns ``(u, v, t)``, ``u < v``, no
-    duplicate (u, v, t) rows, deterministic row order. A null, non-finite or
+    duplicate (u, v, t) rows, sorted by (u, v, t). A null, non-finite or
     non-integral ``u``, ``v`` or ``t`` raises ``ValueError``, as in
     :func:`pack_flat_pdf`.
     """
-    u = _whole_pdf(pdf, "u", "vertex id")
-    v = _whole_pdf(pdf, "v", "vertex id")
-    t = _whole_pdf(pdf, "t", "timestamp")
-    out = pd.DataFrame({"u": np.minimum(u, v), "v": np.maximum(u, v), "t": t})
-    out = out[out["u"] != out["v"]]
-    return out.drop_duplicates().sort_values(["u", "v", "t"]).reset_index(drop=True)
+    u, v, t, _ = _canonical_rows(pdf)
+    return pd.DataFrame({"u": u, "v": v, "t": t})
 
 
 def _whole(name: str, what: str):
@@ -74,6 +70,25 @@ def _whole_pdf(pdf: pd.DataFrame, name: str, what: str) -> np.ndarray:
     return x.astype(np.int64, copy=False)
 
 
+def _canonical_rows(pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of ``pdf`` oriented u < v, self-loops dropped,
+    sorted by (u, v, t), as int64 columns ``(u, v, t)``, and a mask of the
+    rows that start a new (u, v) edge."""
+    u = _whole_pdf(pdf, "u", "vertex id")
+    v = _whole_pdf(pdf, "v", "vertex id")
+    t = _whole_pdf(pdf, "t", "timestamp")
+    keep = u != v
+    lo, hi, t = np.minimum(u, v)[keep], np.maximum(u, v)[keep], t[keep]
+    order = np.lexsort((t, hi, lo))
+    lo, hi, t = lo[order], hi[order], t[order]
+    # first row of each (u, v) run, then of each (u, v, t) run
+    new_edge = np.ones(len(t), dtype=bool)
+    new_edge[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    new_row = new_edge.copy()
+    new_row[1:] |= t[1:] != t[:-1]
+    return lo[new_row], hi[new_row], t[new_row], new_edge[new_row]
+
+
 def pack_flat_pdf(pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Driver-local flat → packed conversion, on arrays (mirrors :func:`pack_flat`).
 
@@ -83,19 +98,7 @@ def pack_flat_pdf(pdf: pd.DataFrame) -> tuple[np.ndarray, np.ndarray, list[np.nd
     integral values (a null is NaN there), or ``ValueError`` is raised; int
     columns are taken as they are.
     """
-    u = _whole_pdf(pdf, "u", "vertex id")
-    v = _whole_pdf(pdf, "v", "vertex id")
-    t = _whole_pdf(pdf, "t", "timestamp")
-    keep = u != v
-    lo, hi, t = np.minimum(u, v)[keep], np.maximum(u, v)[keep], t[keep]
-    order = np.lexsort((t, hi, lo))
-    lo, hi, t = lo[order], hi[order], t[order]
-    # first row of each (src, dst) run, then of each (src, dst, t) run
-    new_edge = np.ones(len(t), dtype=bool)
-    new_edge[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    new_row = new_edge.copy()
-    new_row[1:] |= t[1:] != t[:-1]
-    lo, hi, t, new_edge = lo[new_row], hi[new_row], t[new_row], new_edge[new_row]
+    lo, hi, t, new_edge = _canonical_rows(pdf)
     starts = np.flatnonzero(new_edge)
     bounds = starts.tolist() + [len(t)]
     return lo[starts], hi[starts], [t[a:b] for a, b in zip(bounds, bounds[1:])]

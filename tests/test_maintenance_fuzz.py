@@ -13,7 +13,7 @@ from repro.core.mba import mba
 from repro.core.model import TemporalGraph
 from repro.tgraph.schema import normalize_flat_pdf
 
-from tests.helpers import span_map
+from tests.helpers import assert_kspan_fixpoint, span_map
 
 
 interaction = st.tuples(
@@ -37,6 +37,7 @@ def test_random_streams_equal_rebuild(base, stream):
         if u == v:
             continue
         update_kspan_table(g, table, u, v, t)
+        assert_kspan_fixpoint(g, table)
     fresh = mba(TemporalGraph.from_flat(g.to_flat()))
     assert table.kmax == fresh.kmax
     assert span_map(table) == span_map(fresh)
@@ -64,5 +65,6 @@ def test_dense_small_world_stream(seed):
         if u == v:
             continue
         update_kspan_table(g, table, int(u), int(v), int(rng.integers(0, 10)))
+        assert_kspan_fixpoint(g, table)
     fresh = mba(TemporalGraph.from_flat(g.to_flat()))
     assert span_map(table) == span_map(fresh)

@@ -22,6 +22,7 @@ def test_fifty_mixed_insertions(seed):
     for _ in range(50):
         u, v = int(rng.integers(0, 15)), int(rng.integers(0, 15))
         m.insert(u, v, int(rng.integers(0, 20)))
+        assert_kspan_fixpoint(g, m.table)
     fresh = mba(TemporalGraph.from_flat(g.to_flat()))
     assert m.table.kmax == fresh.kmax
     assert m.table.delta_max == fresh.delta_max
@@ -43,6 +44,7 @@ def test_stream_on_clique_overlap_graph():
     for _ in range(30):
         u, v = int(rng.integers(0, n_verts)), int(rng.integers(0, n_verts))
         m.insert(u, v, int(rng.integers(0, 30)))
+        assert_kspan_fixpoint(g, m.table)
     fresh = mba(TemporalGraph.from_flat(g.to_flat()))
     assert span_map(m.table) == span_map(fresh)
     fresh_idx = DCIndex(fresh)
@@ -63,6 +65,7 @@ def test_stream_on_email_analog():
         u = verts[int(rng.integers(0, len(verts)))]
         v = verts[int(rng.integers(0, len(verts)))]
         m.insert(u, v, int(rng.integers(0, 803)))
+        assert_kspan_fixpoint(g, m.table)
     fresh = mba(TemporalGraph.from_flat(g.to_flat()))
     assert span_map(m.table) == span_map(fresh)
 

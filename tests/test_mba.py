@@ -1,16 +1,21 @@
 """MBA (§V-B): trussness maintenance under triangle invalidation."""
+import math
 import os
 
 import numpy as np
 import pytest
 
 from repro.core import mba as mba_mod
+from repro.core.dc_index import DCIndex
 from repro.core.decomposition import trussness
 from repro.core.kspan import dba
+from repro.core.maintainers import DCMaintainer, TCMaintainer
 from repro.core.mba import _band_spans, mba
 from repro.core.model import TemporalGraph
+from repro.core.online import online_query
+from repro.core.tc_index import TCIndex
 from repro.tgraph.generators import analog, random_temporal_graph, triangle_rich_graph
-from tests.helpers import kspan_fixpoint
+from tests.helpers import kspan_fixpoint, span_map
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -196,3 +201,47 @@ def test_tiny_graph_forks_nothing(forks):
     g = TemporalGraph.from_flat(flat)
     assert mba(g, workers=4).equal(dba(g))
     assert forks == []
+
+
+DEGENERATE = {
+    "empty": ([], []),
+    "path": ([(0, 1), (1, 2), (2, 3)], [[1, 4], [2], [3, 7]]),
+    "triangle": ([(0, 1), (0, 2), (1, 2)], [[1, 4], [2], [3, 7]]),
+}
+
+
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_degenerate_graphs(name):
+    """Graphs whose k-span table has no cells (empty, triangle-free) or one
+    level: MBA on one or four workers ≡ DBA, and TC ≡ DC ≡ Online ≡ the
+    table at every k ∈ {2, 3, 4} and δ ∈ {0, δmax, ∞}."""
+    g = TemporalGraph(*DEGENERATE[name])
+    want = dba(g)
+    for workers in (1, 4):
+        assert mba(g, workers=workers).equal(want), workers
+    tc, dc = TCIndex(want), DCIndex(want)
+    for k in (2, 3, 4):
+        for d in (0, g.delta_max, math.inf):
+            got = want.truss_edges(k, d)
+            assert tc.query(k, d) == got, (k, d)
+            assert dc.query(k, d) == got, (k, d)
+            assert online_query(g, k, d) == got, (k, d)
+
+
+@pytest.mark.parametrize("maintainer", [TCMaintainer, DCMaintainer])
+def test_maintainer_from_empty_graph_builds_a_clique(maintainer):
+    """From no edges to a 4-clique, timestamp and edge insertions mixed:
+    after each, the table ≡ a fresh MBA and the index answers as one built
+    on it."""
+    m = maintainer(TemporalGraph([], []))
+    stream = [(0, 1, 3), (1, 2, 5), (0, 2, 4), (0, 1, 9), (2, 3, 1), (1, 3, 2), (0, 3, 8), (2, 3, 6)]
+    for u, v, t in stream:
+        m.insert(u, v, t)
+        fresh = mba(TemporalGraph.from_flat(m.g.to_flat()))
+        assert (m.table.kmax, m.table.delta_max) == (fresh.kmax, fresh.delta_max), (u, v, t)
+        assert span_map(m.table) == span_map(fresh), (u, v, t)
+        fresh_idx = type(m.index)(fresh)
+        for k in range(2, fresh.kmax + 2):
+            for d in (0, fresh.delta_max):
+                assert m.index.query(k, d) == fresh_idx.query(k, d), (u, v, t, k, d)
+    assert fresh.kmax == 4

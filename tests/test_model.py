@@ -155,9 +155,11 @@ def test_basic_accessors():
 def test_to_flat_roundtrip():
     flat = random_temporal_graph(n_vertices=10, n_edges=25, seed=1)
     g = TemporalGraph.from_flat(flat)
+    pd.testing.assert_frame_equal(g.to_flat(), flat)
     g2 = TemporalGraph.from_flat(g.to_flat())
     assert g2.edges == g.edges
     assert all(np.array_equal(a, b) for a, b in zip(g2.times, g.times))
+    assert (TemporalGraph([], []).to_flat().dtypes == np.int64).all()
 
 
 # -- incremental updates (the §VI stream) ------------------------------------
