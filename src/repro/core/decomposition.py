@@ -9,15 +9,17 @@ These are the workhorses shared by the index-free Online-Query (§III), DBA
 * :func:`trussness` — full decomposition: trn(e) = max k with e ∈ k-truss,
   counting only triangles marked valid (δ-trussness when the mask encodes
   ``mts ≤ δ``; classic static trussness when all triangles are valid);
-* :func:`decomph` — the paper's δ-sweep: step δ down one mts value at a
-  time, peeling after each step, and record the δ at which each edge
-  leaves. DBA runs it on each static k-truss; maintenance runs it on the
-  affected subgraph (Algorithm 2).
+* :func:`decomph` — the paper's δ-sweep over given triangle ids: invalidate
+  them one mts value at a time, descending, peeling after each step, and
+  report the δ at which each peeled edge leaves. DBA sweeps the mts > 0
+  triangles of each static k-truss, maintenance the affected region above
+  δ⁻ (Algorithm 2); each labels the edges left standing itself.
 
-The peeling kernels run millions of tiny steps, so their mutable state —
-``alive``, ``sup``, ``tri_alive`` and the span output — is plain Python
-lists, and they read triangles as ``TriangleStore.tri_edges`` tuples:
-indexing a list is several times cheaper than reading a numpy scalar.
+The peeling kernels work on global edge and triangle ids and run millions
+of tiny steps, so their mutable state — ``alive``, ``sup`` and
+``tri_alive`` — is plain Python lists, and they read triangles as
+``TriangleStore.tri_edges`` tuples: indexing a list is several times
+cheaper than reading a numpy scalar.
 :func:`support` stays vectorized; callers convert its result once with
 ``.tolist()``.
 """
@@ -113,23 +115,19 @@ def decomph(
     tri_alive: list[bool],
     edge_tris: list[list[int]],
     threshold: int,
-    stop: int,
-) -> list[int]:
-    """δ-sweep (``decomph``, §V-A) from the largest mts down to ``stop``.
+    tids: list[int],
+) -> list[tuple[int, int]]:
+    """δ-sweep (``decomph``, §V-A) over the triangles ``tids``.
 
-    Invalidates the alive triangles with mts > ``stop`` in groups of
-    descending mts and cascade-peels edges whose support drops below
-    ``threshold`` after each group; ``alive``, ``sup`` and ``tri_alive``
-    are updated in place. Returns a span per edge: d for an edge peeled
-    while the mts = d group is invalidated, ``stop`` for an edge that
-    survives, and −1 for an edge dead on entry.
+    Invalidates the alive triangles among ``tids`` in groups of descending
+    mts and cascade-peels edges whose support drops below ``threshold``
+    after each group; ``alive``, ``sup`` and ``tri_alive`` are updated in
+    place. Returns ``(e, d)`` for each edge peeled while the mts = d group
+    is invalidated, in peel order. The work is O(|tids|) plus the triangle
+    lists of the peeled edges.
     """
-    span = [stop if a else -1 for a in alive]
-    order = sorted(
-        (tid for tid, ok in enumerate(tri_alive) if ok and mts[tid] > stop),
-        key=mts.__getitem__,
-        reverse=True,
-    )
+    order = sorted(tids, key=mts.__getitem__, reverse=True)
+    peeled: list[tuple[int, int]] = []
     i = 0
     while i < len(order):
         d = mts[order[i]]
@@ -152,6 +150,5 @@ def decomph(
             threshold=threshold,
             seeds=seeds,
         )
-        for e in removed:
-            span[e] = d
-    return span
+        peeled.extend((e, d) for e in removed)
+    return peeled

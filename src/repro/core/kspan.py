@@ -6,10 +6,10 @@ and DC-Index is the *k-span table*: for every edge e and every k ≤ trn(e),
 the value k-spn(e). ``T_{k,δ} = {e : trn(e) ≥ k and k-spn_k(e) ≤ δ}``.
 
 DBA computes the table one k at a time: start from the static k-truss
-(= T_{k,δmax}), then run the δ-sweep :func:`~.decomposition.decomph` down
-to δ = 0. An edge peeled while invalidating mts = d triangles lies in
-T_{k,d} \\ T_{k,d−1}, i.e. its k-span is d (the H-IES between those
-trusses); an edge that survives the sweep has k-span 0.
+(= T_{k,δmax}), then δ-sweep (:func:`~.decomposition.decomph`) its mts > 0
+triangles down to δ = 0. An edge peeled while invalidating mts = d
+triangles lies in T_{k,d} \\ T_{k,d−1}, i.e. its k-span is d (the H-IES
+between those trusses); an edge that survives the sweep has k-span 0.
 """
 from __future__ import annotations
 
@@ -68,9 +68,9 @@ class KspanTable:
 
     def equal(self, other: "KspanTable") -> bool:
         """Structural equality (used to cross-check DBA vs MBA vs rebuild)."""
-        if self.kmax != other.kmax or self.edges != other.edges:
+        if (self.kmax, self.delta_max) != (other.kmax, other.delta_max):
             return False
-        if not np.array_equal(self.trn, other.trn):
+        if self.edges != other.edges or not np.array_equal(self.trn, other.trn):
             return False
         return all(
             np.array_equal(self.spans[k], other.spans[k])
@@ -103,18 +103,17 @@ def dba(g: TemporalGraph) -> KspanTable:
         in_k = trn >= k
         # X∆_k: triangles of the static k-truss (all edges have trn ≥ k)
         tri_in = in_k[tri.tri_e].all(axis=1) if tri.n else np.zeros(0, bool)
-        spans[k] = np.asarray(
-            decomph(
-                alive=in_k.tolist(),
-                sup=support(m, tri.tri_e, tri_in).tolist(),
-                tri_edges=tri.tri_edges,
-                mts=mts,
-                tri_alive=tri_in.tolist(),
-                edge_tris=tri.edge_tris,
-                threshold=k - 2,
-                stop=0,
-            ),
-            dtype=np.int64,
-        )
+        spans[k] = np.where(in_k, 0, -1)  # survivors keep k-span 0
+        for e, d in decomph(
+            alive=in_k.tolist(),
+            sup=support(m, tri.tri_e, tri_in).tolist(),
+            tri_edges=tri.tri_edges,
+            mts=mts,
+            tri_alive=tri_in.tolist(),
+            edge_tris=tri.edge_tris,
+            threshold=k - 2,
+            tids=np.flatnonzero(tri_in & (tri.mts > 0)).tolist(),
+        ):
+            spans[k][e] = d
 
     return KspanTable(list(g.edges), trn, kmax, dmax, spans)

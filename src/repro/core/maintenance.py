@@ -23,12 +23,13 @@ instead of rebuilt:
    k-span (taken as a hull over the promoted set — see the inline note).
 3. **Filter of edges / GAS** (Algorithm 1): BFS from e0 (plus promoted
    edges) over triangles whose k-rank upper estimate is ≤ δ⁺, collecting
-   the edges with (estimated) k-span ≤ δ⁺. Lemma 6's chain argument
-   guarantees every edge whose k-span changes — and every triangle
-   supporting such a change — passes this filter.
-4. **Verification** (Algorithm 2): run DBA's ``decomph`` sweep on the
-   collected local subgraph from δ⁺ downward, overwriting the k-spans of
-   the region edges with their exact new values. A promoted edge left
+   the edges with (estimated) k-span ≤ δ⁺ and their triangles, marked in
+   graph-sized peel state that is reset entry by entry after each region.
+   Lemma 6's chain argument guarantees every edge whose k-span changes —
+   and every triangle supporting such a change — passes this filter.
+4. **Verification** (Algorithm 2): run DBA's ``decomph`` sweep over the
+   collected triangles from δ⁺ down to δ⁻, overwriting the k-spans of the
+   region edges with their exact new values. A promoted edge left
    unverified, or a new edge with fewer than k−2 triangles inside the
    k-truss of G+, contradicts the lemmas above and raises ``RuntimeError``.
 
@@ -75,7 +76,8 @@ class MaintenanceStats:
     kind: str
     k_range: tuple[int, int] | None = None  # inclusive [3, trn(e0, G+)]
     touched_ks: list[int] = field(default_factory=list)
-    region_sizes: dict[int, int] = field(default_factory=dict)
+    region_sizes: dict[int, int] = field(default_factory=dict)  # k -> #region edges
+    region_tris: dict[int, int] = field(default_factory=dict)  # k -> #triangles GAS accepted
     changed: dict[int, int] = field(default_factory=dict)  # k -> #edges with new span
     promoted: dict[int, int] = field(default_factory=dict)  # k -> #promoted edges
     candidates: dict[int, int] = field(default_factory=dict)  # k -> promotion candidate set size
@@ -87,76 +89,76 @@ class MaintenanceStats:
 
 
 # --------------------------------------------------------------------------
-# local subgraphs: the BFS shared by promotion search and GAS
+# peel state: the BFS shared by promotion search and GAS
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class _Local:
-    """A subgraph grown by :func:`_grow`, in local edge ids 0..n−1."""
+class _Peel:
+    """Peel state on global ids: ``alive``/``sup`` per edge, ``tri_alive``
+    per triangle. Allocated by the first :meth:`grow`, so an insertion that
+    grows no region allocates nothing; :meth:`clear` resets a region entry
+    by entry, so a region costs what it touches, not O(m + T)."""
 
-    edges: list[int] = field(default_factory=list)  # local id -> global edge id
-    inner: list[int] = field(default_factory=list)  # local ids the BFS expanded through
-    sup: list[int] = field(default_factory=list)  # local support; INF for anchors
-    tri_edges: list[tuple[int, int, int]] = field(default_factory=list)
-    edge_tris: list[list[int]] = field(default_factory=list)
-    tids: list[int] = field(default_factory=list)  # local triangle -> global tid
+    def __init__(self, tri: TriangleStore):
+        self.tri = tri
+        self.alive, self.sup, self.tri_alive = [], [], []
 
+    def grow(
+        self, seeds: list[int], tri_ok: Callable[[int], bool], expand: Callable[[int], bool]
+    ) -> tuple[list[int], list[int]]:
+        """BFS from ``seeds`` over the triangles passing ``tri_ok``, marking
+        each accepted triangle and its edges alive. The BFS expands through
+        an edge when ``expand`` says so (seeds always expand), and otherwise
+        keeps it as an anchor with support ∞. The support of an expanded
+        edge counts the accepted triangles on it, which are all of its
+        triangles passing ``tri_ok``. Returns (expanded edges, accepted
+        triangle ids)."""
+        tri_edges, edge_tris = self.tri.tri_edges, self.tri.edge_tris
+        if not self.alive:
+            self.alive = [False] * len(edge_tris)
+            self.sup = [0] * len(edge_tris)
+            self.tri_alive = [False] * len(tri_edges)
+        alive, sup, tri_alive = self.alive, self.sup, self.tri_alive
+        inner: list[int] = []
+        for e in seeds:
+            if not alive[e]:
+                alive[e] = True
+                inner.append(e)
+        frontier = inner[:]
+        rejected: set[int] = set()
+        tids: list[int] = []
+        while frontier:
+            for tid in edge_tris[frontier.pop()]:
+                if tri_alive[tid] or tid in rejected:
+                    continue
+                if not tri_ok(tid):
+                    rejected.add(tid)
+                    continue
+                tri_alive[tid] = True
+                tids.append(tid)
+                for x in tri_edges[tid]:
+                    if not alive[x]:
+                        alive[x] = True
+                        if expand(x):
+                            inner.append(x)
+                            frontier.append(x)
+                        else:
+                            sup[x] = INF
+                    sup[x] += 1
+        return inner, tids
 
-def _grow(
-    tri: TriangleStore,
-    seeds: list[int],
-    tri_ok: Callable[[int], bool],
-    expand: Callable[[int], bool],
-) -> _Local:
-    """BFS from ``seeds`` over the triangles passing ``tri_ok``.
-
-    Each edge of an accepted triangle gets a local id when first met; the
-    BFS expands through it when ``expand`` says so (seeds always expand)
-    and otherwise keeps it as an anchor with support ∞. The support of an
-    expanded edge counts the accepted triangles on it, which are all of its
-    triangles passing ``tri_ok``.
-    """
-    out = _Local()
-    loc: dict[int, int] = {}
-    edges, inner, edge_tris = out.edges, out.inner, out.edge_tris
-    frontier: list[int] = []
-    for e in seeds:
-        if e not in loc:
-            loc[e] = len(edges)
-            inner.append(len(edges))
-            edges.append(e)
-            edge_tris.append([])
-            frontier.append(e)
-    seen: set[int] = set()
-    tri_edges, tids = tri.tri_edges, out.tids
-    while frontier:
-        for tid in tri.edge_tris[frontier.pop()]:
-            if tid in seen:
-                continue
-            seen.add(tid)
-            if not tri_ok(tid):
-                continue
-            lt = len(tids)
-            tids.append(tid)
-            ids = []
+    def clear(self, inner: list[int], tids: list[int]) -> None:
+        """Reset every entry that ``grow`` (and the peel after it) set."""
+        alive, sup, tri_alive = self.alive, self.sup, self.tri_alive
+        tri_edges = self.tri.tri_edges
+        for e in inner:
+            alive[e] = False
+            sup[e] = 0
+        for tid in tids:
+            tri_alive[tid] = False
             for x in tri_edges[tid]:
-                i = loc.get(x)
-                if i is None:
-                    i = loc[x] = len(edges)
-                    edges.append(x)
-                    edge_tris.append([lt])
-                    if expand(x):
-                        inner.append(i)
-                        frontier.append(x)
-                else:
-                    edge_tris[i].append(lt)
-                ids.append(i)
-            out.tri_edges.append(tuple(ids))
-    out.sup = [INF] * len(edges)
-    for i in inner:
-        out.sup[i] = len(edge_tris[i])
-    return out
+                alive[x] = False
+                sup[x] = 0
 
 
 # --------------------------------------------------------------------------
@@ -181,7 +183,7 @@ def _kb_upper_bound(tri: TriangleStore, e0: int, trn: list[int]) -> int:
 
 
 def _update_static_trussness(
-    tri: TriangleStore, trn_old: np.ndarray, e0: int, stats: MaintenanceStats
+    peel: _Peel, trn_old: np.ndarray, e0: int, stats: MaintenanceStats
 ) -> tuple[np.ndarray, dict[int, list[int]]]:
     """Exact new trussness after inserting static edge e0, by the local
     candidate search of the module docstring.
@@ -194,6 +196,7 @@ def _update_static_trussness(
     trn_new = trn_old.copy()
     trn_new[e0] = 2
     promoted: dict[int, list[int]] = {}
+    tri = peel.tri
     tri_edges = tri.tri_edges
 
     def in_h(tid: int) -> bool:  # all of the triangle's edges lie in H_k
@@ -202,22 +205,23 @@ def _update_static_trussness(
 
     for k in range(3, _kb_upper_bound(tri, e0, trn) + 1):
         trn[e0] = k - 1  # e0 joins H_k as a candidate
-        sub = _grow(tri, [e0], in_h, lambda x: trn[x] < k)
-        stats.candidates[k] = len(sub.inner)
-        alive = [True] * len(sub.edges)
+        inner, tids = peel.grow([e0], in_h, lambda x: trn[x] < k)
+        stats.candidates[k] = len(inner)
         peel_to_truss(
-            alive=alive,
-            sup=sub.sup,
-            tri_edges=sub.tri_edges,
-            tri_alive=[True] * len(sub.tids),
-            edge_tris=sub.edge_tris,
+            alive=peel.alive,
+            sup=peel.sup,
+            tri_edges=tri_edges,
+            tri_alive=peel.tri_alive,
+            edge_tris=tri.edge_tris,
             threshold=k - 2,
-            seeds=sub.inner,
+            seeds=inner,
         )
-        if not alive[0]:  # local id 0 is e0; e0 ∉ k-truss(G+): no promotion at k or above
+        kept = peel.alive[e0]
+        promo = sorted(e for e in inner[1:] if peel.alive[e])  # inner[0] is e0
+        peel.clear(inner, tids)
+        if not kept:  # e0 ∉ k-truss(G+): no promotion at k or above
             break
         trn_new[e0] = k
-        promo = sorted(sub.edges[i] for i in sub.inner[1:] if alive[i])
         if promo:
             promoted[k] = promo
             trn_new[promo] = k
@@ -230,13 +234,13 @@ def _update_static_trussness(
 
 
 def _gas(
-    tri: TriangleStore,
+    peel: _Peel,
     est: list[int],
     mts: list[int],
     seeds: list[int],
     delta_minus: int,
     delta_plus: int,
-) -> _Local:
+) -> tuple[list[int], list[int]]:
     """Affected-subgraph search (Algorithm 1): BFS over triangles whose
     k-rank estimate is ≤ δ⁺, bounded below by δ⁻.
 
@@ -247,9 +251,9 @@ def _gas(
     change requires an affected triangle valid, i.e. a threshold ≥ δ⁻), so
     the branch terminates and their support is treated as ∞ in the sweep.
 
-    Returns the local subgraph; its ``inner`` edges are the region.
+    Returns (region edges, accepted triangle ids), marked in ``peel``.
     """
-    tri_edges = tri.tri_edges
+    tri_edges = peel.tri.tri_edges
 
     def tri_ok(tid: int) -> bool:
         if mts[tid] > delta_plus:
@@ -261,37 +265,11 @@ def _gas(
             and 0 <= est[c] <= delta_plus
         )
 
-    return _grow(
-        tri,
+    return peel.grow(
         [e for e in seeds if delta_minus <= est[e] <= delta_plus],
         tri_ok,
         lambda x: est[x] >= delta_minus,
     )
-
-
-def _verify_sweep(
-    sub: _Local, mts: list[int], k: int, delta_minus: int
-) -> dict[int, int]:
-    """decomph on the local subgraph: exact new k-spans of region edges.
-
-    Sweeps δ from δ⁺ down to δ⁻. Boundary edges carry infinite support
-    (never peeled, never reassigned). Region edges peeled while
-    invalidating the mts = d triangles get k-span d; region survivors at
-    δ⁻ get k-span δ⁻ exactly (below δ⁻ every affected triangle is invalid,
-    so T_{k,δ} is unchanged from G and cannot contain them — old region
-    edges had old k-span ≥ δ⁻, promoted edges were not in T_k(G) at all).
-    """
-    span = decomph(
-        alive=[True] * len(sub.edges),
-        sup=sub.sup,
-        tri_edges=sub.tri_edges,
-        mts=[mts[tid] for tid in sub.tids],
-        tri_alive=[True] * len(sub.tids),
-        edge_tris=sub.edge_tris,
-        threshold=k - 2,
-        stop=delta_minus,
-    )
-    return {sub.edges[i]: span[i] for i in sub.inner}
 
 
 # --------------------------------------------------------------------------
@@ -366,6 +344,7 @@ def update_kspan_table(
     e0 = delta["eid"]
     tri = g.triangles()
     stats = MaintenanceStats(kind=kind)
+    peel = _Peel(tri)
 
     if kind == "edge":
         # grow the table by e0's slot
@@ -373,7 +352,7 @@ def update_kspan_table(
         trn_old = np.append(table.trn, np.int64(2))
         for k in table.spans:
             table.spans[k] = np.append(table.spans[k], np.int64(-1))
-        trn_new, promoted = _update_static_trussness(tri, trn_old, e0, stats)
+        trn_new, promoted = _update_static_trussness(peel, trn_old, e0, stats)
         table.trn = trn_new
         new_kmax = max(table.kmax, int(trn_new.max()) if g.m else 2)
         for k in range(table.kmax + 1, new_kmax + 1):
@@ -480,16 +459,33 @@ def update_kspan_table(
                     merged.append((a, b))
             intervals = merged
 
-        region_total = 0
+        region_total = region_tris = 0
         n_changed = 0
         # descending order: est entries are refreshed between intervals, so
         # lower intervals see the already-verified upper-range k-spans
         for delta_minus, delta_plus in sorted(intervals, reverse=True):
-            sub = _gas(tri, est, mts, seeds, delta_minus, delta_plus)
-            if not sub.inner:
+            inner, tids = _gas(peel, est, mts, seeds, delta_minus, delta_plus)
+            if not inner:
                 continue
-            region_total += len(sub.inner)
-            for e, s in _verify_sweep(sub, mts, k, delta_minus).items():
+            region_total += len(inner)
+            region_tris += len(tids)
+            # verification: a region edge peeled at d gets k-span d; one that
+            # survives gets δ⁻ exactly, as below δ⁻ every affected triangle is
+            # invalid, so T_{k,δ} is that of G, which held no old region edge
+            # (k-span ≥ δ⁻) and no promoted one
+            peeled = decomph(
+                alive=peel.alive,
+                sup=peel.sup,
+                tri_edges=tri.tri_edges,
+                mts=mts,
+                tri_alive=peel.tri_alive,
+                edge_tris=tri.edge_tris,
+                threshold=k - 2,
+                tids=[tid for tid in tids if mts[tid] > delta_minus],
+            )
+            peeled += [(e, delta_minus) for e in inner if peel.alive[e]]
+            peel.clear(inner, tids)
+            for e, s in peeled:
                 est[e] = s
                 if spans_k[e] != s:
                     spans_k[e] = s
@@ -497,6 +493,7 @@ def update_kspan_table(
         if region_total:
             stats.touched_ks.append(k)
             stats.region_sizes[k] = region_total
+            stats.region_tris[k] = region_tris
         # a new/promoted edge is always covered by some interval's region
         # (its triangles' intervals all overlap at its own estimate)
         for e in promo_k_all:

@@ -51,8 +51,8 @@ triangle list there), with fewer bands when the work would not repay a
 fork. The k-span table is one (kmax − 2) × m array in anonymous shared
 memory. The parent process sweeps the first band and ``os.fork``s one child
 per further band; a child reads the parent's graph copy-on-write, so
-nothing is pickled on the way in, and copies its span rows into its slice
-of the shared table, so nothing is sent back either. Each process is first
+nothing is pickled on the way in, and sweeps straight into its slice of
+the shared table, so nothing is sent back either. Each process is first
 moved to a CPU of its own (:func:`_place`), and once the children are
 reaped the parent takes back write access to its resident memory in one
 batch (:func:`_own_memory`), which the forks had revoked page by page.
@@ -65,11 +65,11 @@ the ks recount and invalidation compare one list entry instead of taking
 ``min(trn[e1], trn[e2], trn[e3])``. The cache changes only when an edge
 drops from k to k−1, and then exactly for the valid level-k triangles on the
 dropped edges: the BFS visits all of them, and moving each to k−1 as it is
-visited also marks it as seen. The state owns its band's output: its span
-rows start at 0 inside the static k-truss (an edge that never drops keeps
-k-span 0) and −1 outside, and ``settle`` records each drop from k at the
-current mts d straight into row k, so the rows are final when the sweep
-ends.
+visited also marks it as seen. The state fills the band's rows of the
+shared table in place: they start at 0 inside the static k-truss (an edge
+that never drops keeps k-span 0) and −1 outside, and ``settle`` records
+each drop from k at the current mts d straight into row k, so the rows are
+final when the sweep ends.
 """
 from __future__ import annotations
 
@@ -96,10 +96,10 @@ MIN_BAND_WORK = 100_000
 
 class _MbaState:
     """Mutable state of the δ-sweep over levels [lo, hi]: trussness capped at
-    ``hi``, ks counters, levels, validity, the band's triangle ids, and its
-    output ``spans``, whose row k − lo is level k's k-span of every edge."""
+    ``hi``, ks counters, levels, validity, the band's triangle ids, and the
+    rows ``spans`` it fills, row k − lo with level k's k-span of every edge."""
 
-    def __init__(self, g: TemporalGraph, trn: np.ndarray, lo: int, hi: int):
+    def __init__(self, g: TemporalGraph, trn: np.ndarray, lo: int, hi: int, spans: np.ndarray):
         tri = g.triangles()
         trn_arr = np.minimum(trn, hi)
         tri_trn = trn_arr[tri.tri_e]
@@ -116,8 +116,9 @@ class _MbaState:
         self.tri_valid: list[bool] = valid.tolist()
         self.tids: np.ndarray = np.flatnonzero(valid)
         # an edge that never drops from k keeps k-span 0 (−1: not in T_k)
-        self.spans = np.full((hi - lo + 1, g.m), -1, dtype=np.int64)
-        self.spans[trn_arr >= np.arange(lo, hi + 1)[:, None]] = 0
+        self.spans = spans
+        spans[:] = -1
+        spans[trn_arr >= np.arange(lo, hi + 1)[:, None]] = 0
         self.d = 0  # mts of the triangles being invalidated
 
     def recount(self, e: int) -> int:
@@ -186,19 +187,18 @@ class _MbaState:
             self.settle(pending)
 
 
-def _band_spans(g: TemporalGraph, trn: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Row k − lo holds the k-span of every edge, for k in [lo, hi]; −1 where
-    the edge is outside the static k-truss. Triangles with mts = 0 stay
-    valid in every (k, δ)-truss, so only those with mts > 0 are invalidated,
-    in descending mts."""
-    state = _MbaState(g, trn, lo, hi)
+def _band_spans(g: TemporalGraph, trn: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
+    """Fill ``out``: row k − lo gets the k-span of every edge, for k in
+    [lo, hi]; −1 where the edge is outside the static k-truss. Triangles
+    with mts = 0 stay valid in every (k, δ)-truss, so only those with
+    mts > 0 are invalidated, in descending mts."""
+    state = _MbaState(g, trn, lo, hi, out)
     mts = g.triangles().mts
     tids = state.tids[mts[state.tids] > 0]
     order = tids[np.argsort(-mts[tids], kind="stable")]
     for tid, d in zip(order.tolist(), mts[order].tolist()):
         state.d = d
         state.invalidate(tid)
-    return state.spans
 
 
 def _bands(trn: np.ndarray, tri_e: np.ndarray, kmax: int, workers: int) -> list[tuple[int, int]]:
@@ -239,7 +239,7 @@ def _fork_band(g: TemporalGraph, trn: np.ndarray, lo: int, hi: int, cpu: int,
         status = 1
         try:
             _place(cpu)
-            out[:] = _band_spans(g, trn, lo, hi)
+            _band_spans(g, trn, lo, hi, out)
             status = 0
         except BaseException:
             os.write(2, traceback.format_exc().encode())
@@ -292,7 +292,7 @@ def _sweep_bands(g: TemporalGraph, trn: np.ndarray, bands: list[tuple[int, int]]
     Every child is reaped before this returns or raises."""
     if len(bands) <= 1:
         for lo, hi in bands:
-            table[lo - 3:hi - 2] = _band_spans(g, trn, lo, hi)
+            _band_spans(g, trn, lo, hi, table[lo - 3:hi - 2])
         return
     pids = []
     cpus = sorted(os.sched_getaffinity(0))
@@ -305,7 +305,7 @@ def _sweep_bands(g: TemporalGraph, trn: np.ndarray, bands: list[tuple[int, int]]
             pids.append(_fork_band(g, trn, lo, hi, cpus[i % len(cpus)], table[lo - 3:hi - 2]))
         _place(cpus[0])
         lo, hi = bands[0]
-        table[lo - 3:hi - 2] = _band_spans(g, trn, lo, hi)
+        _band_spans(g, trn, lo, hi, table[lo - 3:hi - 2])
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)

@@ -87,3 +87,15 @@ def test_edgeless_levels():
     table = dba(g)
     assert table.truss_edges(table.kmax + 1, math.inf) == set()
     assert table.truss_edges(2, 0) == set(g.edges)
+
+
+def test_tables_differing_only_in_delta_max_are_not_equal():
+    """δmax sets every T_{k,δmax} and the compression denominator, so a
+    stale δmax must not pass as equal."""
+    g = TemporalGraph.from_flat(random_temporal_graph(n_vertices=10, n_edges=30, seed=4))
+    table = dba(g)
+    assert table.equal(dba(g))
+    stale = dba(g)
+    stale.delta_max += 1
+    assert not table.equal(stale)
+    assert not stale.equal(table)

@@ -151,8 +151,12 @@ def test_region_is_local():
     u, v = g.edges[g.m - 1]
     stats = update_kspan_table(g, table, u, v, 0)
     _assert_equiv_rebuild(g, table)
+    assert stats.region_tris.keys() == stats.region_sizes.keys()
+    tri = g.triangles()
     for k, size in stats.region_sizes.items():
         assert size <= table.truss_size(k, table.delta_max)
+        in_truss = (table.trn >= k)[tri.tri_e].all(axis=1)
+        assert stats.region_tris[k] <= int(in_truss.sum())
 
 
 # -- maintained index objects -------------------------------------------------

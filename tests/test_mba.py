@@ -73,7 +73,8 @@ def test_lemma1_single_invalidation_drops_at_most_one():
     g = TemporalGraph.from_flat(flat)
     tri = g.triangles()
     trn = trussness(g.m, tri, np.ones(tri.n, dtype=bool))
-    state = _MbaState(g, trn, 3, int(trn.max()))
+    kmax = int(trn.max())
+    state = _MbaState(g, trn, 3, kmax, np.empty((kmax - 2, g.m), dtype=np.int64))
     order = np.argsort(-tri.mts, kind="stable")
     for tid in order:
         if int(tri.mts[tid]) == 0:
@@ -92,7 +93,8 @@ def test_ks_invariant_maintained():
     g = TemporalGraph.from_flat(flat)
     tri = g.triangles()
     trn = trussness(g.m, tri, np.ones(tri.n, dtype=bool))
-    state = _MbaState(g, trn, 3, int(trn.max()))
+    kmax = int(trn.max())
+    state = _MbaState(g, trn, 3, kmax, np.empty((kmax - 2, g.m), dtype=np.int64))
     order = np.argsort(-tri.mts, kind="stable")
 
     def level(tid):
@@ -139,9 +141,12 @@ def test_band_split_points_merge_to_one_band():
     tri = g.triangles()
     trn = trussness(g.m, tri, np.ones(tri.n, dtype=bool))
     kmax = int(trn.max())
-    whole = _band_spans(g, trn, 3, kmax)
+    whole = np.empty((kmax - 2, g.m), dtype=np.int64)
+    _band_spans(g, trn, 3, kmax, whole)
     for c in range(4, kmax + 1):
-        merged = np.vstack([_band_spans(g, trn, 3, c - 1), _band_spans(g, trn, c, kmax)])
+        merged = np.full_like(whole, -2)  # a cell no band writes stays −2
+        _band_spans(g, trn, 3, c - 1, merged[:c - 3])
+        _band_spans(g, trn, c, kmax, merged[c - 3:])
         assert np.array_equal(merged, whole), c
 
 
@@ -182,10 +187,10 @@ def test_failed_band_raises_and_reaps(monkeypatch, forks, where):
     that raises in the parent propagates. Either way no child is left."""
     band = mba_mod._band_spans
 
-    def failing(g, trn, lo, hi):
+    def failing(g, trn, lo, hi, out):
         if (lo > 3) == (where == "child"):
             raise ValueError(f"band [{lo}, {hi}]")
-        return band(g, trn, lo, hi)
+        band(g, trn, lo, hi, out)
 
     monkeypatch.setattr(mba_mod, "_band_spans", failing)
     g = TemporalGraph.from_flat(analog("stackoverflow", sf=0.03, seed=7))
